@@ -12,6 +12,14 @@ polynomial realization of a level subspace is not spanned by
 bidegree-homogeneous monomials, states carry their bi-level as explicit
 data (:class:`StatePoly`) rather than reading it off monomial degrees.
 
+The central coefficient comes from the Schwarzian cocycle.  With
+``q = -F**(n+1) / F'`` the deformation field pulled back to the z-plane,
+``vartheta_n = -res_z[S(F) q]``: the chain rule (S(G) o F) F'^2 = -S(F) for
+the inverse map G turns the inverse-map residue -res_w[S(G) w^(n+1)] into
+this z-plane residue, so the build never reverses a series.  The residue
+route (:func:`varpi`, :func:`vartheta`) keeps the inverse-map form as an
+independent cross-check.
+
 Every coefficient polynomial is extracted from exact truncated-series
 computations with tracked reliability; nothing here ever truncates
 silently — an operator that cannot act exactly on a state raises
@@ -38,8 +46,8 @@ from .symbolic import (
     schwarzian,
     series_reversion,
 )
-from .symbolic.poly import _KIND_A, _KIND_ABAR, _KIND_CC, _KIND_LAMBDA  # noqa: F401
-from .verma import cocycle
+from .symbolic.poly import _KIND_A, _KIND_ABAR, _KIND_CC, _KIND_LAMBDA
+from .verma import central_charge, cocycle, kac_lambda
 
 __all__ = [
     "OperatorWindowError",
@@ -57,8 +65,6 @@ __all__ = [
     "geometric_pairing",
     "duality_pairing",
     "level_rank",
-    "degenerate_weight_fraction",
-    "central_charge_fraction",
     "state_family_residuals",
 ]
 
@@ -162,22 +168,15 @@ class ModeOperator:
     d_abar: Mapping[int, CoeffPoly]
     provenance: str = field(compare=False, default="")
 
-    def apply(self, state: StatePoly) -> StatePoly:
-        if state.is_zero:
-            return state
-        if state.max_index() > self.max_index:
+    def derive(self, poly: CoeffPoly) -> CoeffPoly:
+        """The pure derivation part of the operator applied to a polynomial."""
+        if poly.max_coefficient_index() > self.max_index:
             raise OperatorWindowError(
-                f"state reaches index {state.max_index()} but mode {self.mode} "
-                f"operator only covers indices up to {self.max_index}"
+                f"input reaches index {poly.max_coefficient_index()} but mode "
+                f"{self.mode} operator only covers indices up to {self.max_index}"
             )
-        n_left, n_right = state.level
         out = _ZERO
-        if not self.e_coeff.is_zero:
-            eigen = 2 * _LAM + (n_left + n_right)
-            out = out + self.e_coeff * eigen * state.poly
-        if not self.id_coeff.is_zero:
-            out = out + self.id_coeff * state.poly
-        for gen in state.poly.generators():
+        for gen in poly.generators():
             if gen.kind == _KIND_A:
                 coeff = self.d_a.get(gen.index)
             elif gen.kind == _KIND_ABAR:
@@ -185,7 +184,19 @@ class ModeOperator:
             else:
                 continue
             if coeff is not None and not coeff.is_zero:
-                out = out + coeff * state.poly.derivative(gen)
+                out = out + coeff * poly.derivative(gen)
+        return out
+
+    def apply(self, state: StatePoly) -> StatePoly:
+        if state.is_zero:
+            return state
+        out = self.derive(state.poly)
+        n_left, n_right = state.level
+        if not self.e_coeff.is_zero:
+            eigen = 2 * _LAM + (n_left + n_right)
+            out = out + self.e_coeff * eigen * state.poly
+        if not self.id_coeff.is_zero:
+            out = out + self.id_coeff * state.poly
         if self.bar:
             new_level = (n_left, n_right - self.mode)
         else:
@@ -238,6 +249,12 @@ def _welding_build(n: int, max_index: int, series_order: int | None) -> dict:
     ``-z**(n+1) d/dz`` acting on the welding splits into an interior motion
     (the P-part plus the Euler term) and a reflected exterior motion (the
     Q-part); both are read off exactly as series coefficients.
+
+    The central coefficient is theta_n = -res_z[S(F) q] with
+    ``q = -F**(n+1) / F'``.  It equals the inverse-map form
+    -[w^(-n-2)] S(G) of :func:`vartheta` by the Schwarzian chain rule
+    (S(G) o F) F'^2 = -S(F): substituting w = F(z) turns
+    res_w[S(G) w^(n+1)] into res_z[S(F) q].  No series reversion is needed.
     """
     order = series_order if series_order is not None else max_index + abs(n) + 2
     if order < max_index + 2:
@@ -275,10 +292,9 @@ def _welding_build(n: int, max_index: int, series_order: int | None) -> dict:
         if not q_coeff.is_zero:
             d_abar[m] = q_coeff
 
-    # central coefficient from the Schwarzian of the inverse map
+    # only the z^-1 term of S(F) q is needed: S(F) through z^(-n-2), q through z^-1
     if n <= -2:
-        G = series_reversion(F.truncate(order))
-        theta = -schwarzian(G).coefficient(-n - 2)
+        theta = -(schwarzian(F.truncate(2 - n)) * q.truncate(0)).residue()
     else:
         theta = _ZERO
     return {
@@ -346,9 +362,15 @@ def build_mode_operator(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _inverse_map(order: int) -> LaurentSeries:
+    """G = F^{-1}, the compositional inverse of the coefficient map."""
+    return series_reversion(_coefficient_map(order))
+
+
 def varpi(n: int, order: int = 12) -> CoeffPoly:
     """Euler coefficient of mode n via the inverse-map residue formula."""
-    G = series_reversion(_coefficient_map(order))
+    G = _inverse_map(order)
     lg = G.derivative() * G.inverse()
     integrand = (lg * lg).shift(n + 1)
     return -integrand.residue() * Fraction(1, 2)
@@ -356,34 +378,13 @@ def varpi(n: int, order: int = 12) -> CoeffPoly:
 
 def vartheta(n: int, order: int = 12) -> CoeffPoly:
     """Central-direction coefficient of mode n via the Schwarzian residue."""
-    G = series_reversion(_coefficient_map(order))
-    integrand = schwarzian(G).shift(n + 1)
+    integrand = schwarzian(_inverse_map(order)).shift(n + 1)
     return -integrand.residue()
 
 
 # ---------------------------------------------------------------------------
 # operator brackets
 # ---------------------------------------------------------------------------
-
-
-def _derive(op: ModeOperator, poly: CoeffPoly) -> CoeffPoly:
-    """The pure derivation part of an operator applied to a polynomial."""
-    if poly.max_coefficient_index() > op.max_index:
-        raise OperatorWindowError(
-            f"derivation input reaches index {poly.max_coefficient_index()} "
-            f"beyond window {op.max_index}"
-        )
-    out = _ZERO
-    for gen in poly.generators():
-        if gen.kind == _KIND_A:
-            coeff = op.d_a.get(gen.index)
-        elif gen.kind == _KIND_ABAR:
-            coeff = op.d_abar.get(gen.index)
-        else:
-            continue
-        if coeff is not None and not coeff.is_zero:
-            out = out + coeff * poly.derivative(gen)
-    return out
 
 
 def commutator_parts(u: ModeOperator, t: ModeOperator) -> dict:
@@ -408,24 +409,24 @@ def commutator_parts(u: ModeOperator, t: ModeOperator) -> dict:
             t_cf = t_dict.get(m, _ZERO)
             u_cf = u_dict.get(m, _ZERO)
             if not t_cf.is_zero:
-                term = term + _derive(u, t_cf)
+                term = term + u.derive(t_cf)
                 if not u.e_coeff.is_zero:
                     term = term - nt * u.e_coeff * t_cf
             if not u_cf.is_zero:
-                term = term - _derive(t, u_cf)
+                term = term - t.derive(u_cf)
                 if not t.e_coeff.is_zero:
                     term = term + nu * t.e_coeff * u_cf
             if not term.is_zero:
                 target[m] = term
     id_part = (
-        _derive(u, t.id_coeff)
-        - _derive(t, u.id_coeff)
+        u.derive(t.id_coeff)
+        - t.derive(u.id_coeff)
         + nu * t.e_coeff * u.id_coeff
         - nt * u.e_coeff * t.id_coeff
     )
     e_part = (
-        _derive(u, t.e_coeff)
-        - _derive(t, u.e_coeff)
+        u.derive(t.e_coeff)
+        - t.derive(u.e_coeff)
         + (nu - nt) * u.e_coeff * t.e_coeff
     )
     return {
@@ -520,11 +521,6 @@ class OperatorTable:
 
     def Lbar(self, n: int) -> ModeOperator:
         return self.mode_operator(n, bar=True)
-
-    def preload(self, modes: Sequence[int], bars: Sequence[bool] = (False, True)) -> None:
-        for n in modes:
-            for b in bars:
-                self.mode_operator(n, bar=b)
 
     def insert(self, op: ModeOperator) -> None:
         """Adopt an externally built operator (e.g. loaded from a cache file)."""
@@ -622,102 +618,39 @@ def level_rank(
 
 
 # ---------------------------------------------------------------------------
-# the degenerate family as exact univariate rational functions
+# the degenerate family
 # ---------------------------------------------------------------------------
-
-UniPoly = list[Fraction]
-
-
-def _u_trim(p: UniPoly) -> UniPoly:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _u_add(p: UniPoly, q: UniPoly) -> UniPoly:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, x in enumerate(p):
-        out[i] += x
-    for i, x in enumerate(q):
-        out[i] += x
-    return _u_trim(out)
-
-
-def _u_mul(p: UniPoly, q: UniPoly) -> UniPoly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                if y:
-                    out[i + j] += x * y
-    return _u_trim(out)
-
-
-def _u_pow(p: UniPoly, n: int) -> UniPoly:
-    out: UniPoly = [Fraction(1)]
-    for _ in range(n):
-        out = _u_mul(out, p)
-    return out
-
-
-def degenerate_weight_fraction(r: int, s: int) -> tuple[UniPoly, UniPoly]:
-    """lambda_{r,s} as a ratio of exact polynomials in kappa."""
-    num = [
-        Fraction(16 * (s * s - 1)),
-        Fraction(8 * (1 - r * s)),
-        Fraction(r * r - 1),
-    ]
-    den = [Fraction(0), Fraction(16)]
-    return _u_trim(num), den
-
-
-def central_charge_fraction() -> tuple[UniPoly, UniPoly]:
-    """The central charge of the family as a ratio of kappa-polynomials."""
-    return [Fraction(-48), Fraction(26), Fraction(-3)], [Fraction(0), Fraction(2)]
 
 
 def state_family_residuals(
     poly: CoeffPoly, r: int, s: int
-) -> dict[str, UniPoly]:
+) -> dict[str, tuple[Fraction, ...]]:
     """Substitute the degenerate family into a (weight, charge)-polynomial.
 
-    Every coefficient monomial picks up a univariate polynomial in kappa
-    after clearing all denominators; the returned dict holds the nonzero
-    ones keyed by the monomial's canonical text.  An empty dict certifies
-    that the polynomial vanishes identically along the family.
+    Along the family lambda = kac_lambda(r, s, kappa) and
+    c = central_charge(kappa).  With L and C the largest weight and charge
+    exponents in ``poly``, clearing kappa^(L+C) turns the coefficient of
+    each body monomial into a kappa-polynomial of degree at most
+    D = 2(L + C), so it vanishes identically iff it vanishes at
+    kappa = 1, ..., D+1.  The returned dict maps each body monomial that
+    survives at one of these points, by canonical text, to its values
+    there.  An empty dict certifies that the polynomial vanishes identically
+    along the family.
     """
-    lam_num, lam_den = degenerate_weight_fraction(r, s)
-    c_num, c_den = central_charge_fraction()
-
-    grouped: dict[tuple, list[tuple[int, int, Fraction]]] = {}
-    for mono, coeff in poly.terms():
-        lam_exp = 0
-        c_exp = 0
-        body = []
-        for kind, index, exp in mono:
-            if kind == _KIND_LAMBDA:
-                lam_exp = exp
-            elif kind == _KIND_CC:
-                c_exp = exp
-            else:
-                body.append((kind, index, exp))
-        grouped.setdefault(tuple(body), []).append((lam_exp, c_exp, coeff))
-
-    residuals: dict[str, UniPoly] = {}
-    for body, entries in grouped.items():
-        max_lam = max(e[0] for e in entries)
-        max_c = max(e[1] for e in entries)
-        total: UniPoly = []
-        for lam_exp, c_exp, coeff in entries:
-            term = [coeff]
-            term = _u_mul(term, _u_pow(lam_num, lam_exp))
-            term = _u_mul(term, _u_pow(lam_den, max_lam - lam_exp))
-            term = _u_mul(term, _u_pow(c_num, c_exp))
-            term = _u_mul(term, _u_pow(c_den, max_c - c_exp))
-            total = _u_add(total, term)
-        if total:
-            key_poly = CoeffPoly({body: Fraction(1)}) if body else _ONE
-            residuals[key_poly.canonical_text()] = total
-    return residuals
+    top = {_KIND_LAMBDA: 0, _KIND_CC: 0}
+    for mono, _ in poly.terms():
+        for kind, _, exp in mono:
+            if kind in top:
+                top[kind] = max(top[kind], exp)
+    family = [
+        {LAMBDA: kac_lambda(r, s, kappa), CC: central_charge(kappa)}
+        for kappa in range(1, 2 * (top[_KIND_LAMBDA] + top[_KIND_CC]) + 2)
+    ]
+    samples = [dict(poly.substitute(point).terms()) for point in family]
+    bodies = dict.fromkeys(body for sample in samples for body in sample)
+    return {
+        CoeffPoly({body: 1}).canonical_text(): tuple(
+            sample.get(body, Fraction(0)) for sample in samples
+        )
+        for body in bodies
+    }

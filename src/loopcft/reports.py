@@ -129,8 +129,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.loewner_dt <= 0:
             raise ValueError("loewner_dt must be positive")
-        if self.loewner_seeds < 1:
-            raise ValueError("loewner_seeds must be at least 1")
+        if self.loewner_seeds < 2:
+            raise ValueError("loewner_seeds must be at least 2")
 
     @classmethod
     def from_sources(

@@ -60,10 +60,10 @@ _SINC_SERIES_CUT = 1e-4
 def _sinc_pi(x: complex) -> complex:
     """sin(pi x)/(pi x), an even entire function; series near the origin."""
     if abs(x) < _SINC_SERIES_CUT:
-        u = (math.pi * x) ** 2 if isinstance(x, float) else (cmath.pi * x) ** 2
+        u = (cmath.pi * x) ** 2
         return 1 - u / 6 + u * u / 120 - u * u * u / 5040
-    px = math.pi * x if isinstance(x, float) else cmath.pi * x
-    return cmath.sin(px) / px if isinstance(px, complex) else math.sin(px) / px
+    px = cmath.pi * x
+    return cmath.sin(px) / px
 
 
 def reflection_R(lam: complex | float, kappa: float) -> complex | float:
@@ -337,7 +337,7 @@ def spectral_rhs(query: SpectralQuery) -> complex:
     ):
         return 0j
     kappa = query.kappa
-    charge = 13.0 - 24.0 / kappa - 1.5 * kappa
+    charge = float(central_charge(Fraction(kappa)))
     r_val = complex(reflection_R(query.weight, kappa))
     left = _gram_value(query.k, query.k_prime, query.weight, charge)
     right = _gram_value(query.ktilde, query.ktilde_prime, query.weight, charge)

@@ -125,6 +125,15 @@ def test_missing_config_file_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["loewner-demo", "report-all"])
+def test_single_loewner_seed_is_usage_error(runner, command):
+    # the variance check divides by seeds - 1
+    result = runner.invoke(main, [command, "--seeds", "1"])
+    assert result.exit_code == 2
+    assert "loewner_seeds must be at least 2" in result.output
+    assert "Traceback" not in result.output
+
+
 # ---------------------------------------------------------------------------
 # report schema and determinism
 # ---------------------------------------------------------------------------

@@ -35,9 +35,12 @@ from loopcft.symbolic import (
     CC,
     LAMBDA,
     CoeffPoly,
+    LaurentSeries,
     a,
     abar,
     partitions_of,
+    schwarzian,
+    series_reversion,
     solve_unique,
 )
 from loopcft.verma import central_charge, gram_entry, kac_lambda
@@ -117,6 +120,18 @@ def test_scalar_coefficients_match_residue_route(table):
         assert op.e_coeff == -varpi(n, 14), n
         theta = vartheta(n, 14)
         assert op.id_coeff == -(C * theta) * Fraction(1, 12), n
+
+
+@pytest.mark.parametrize("n", range(-2, -7, -1))
+def test_central_coefficient_matches_inverse_map_schwarzian(n):
+    # reference: theta_n = -[z^(-n-2)] S(G) with G the reversed coefficient map
+    window = 6
+    order = window + abs(n) + 2
+    coeffs = [CoeffPoly.one()] + [CoeffPoly.generator(a(j)) for j in range(1, order - 1)]
+    F = LaurentSeries(1, coeffs, order)
+    theta = -schwarzian(series_reversion(F)).coefficient(-n - 2)
+    op = build_mode_operator(n, max_index=window)
+    assert op.id_coeff == -(C * theta) * Fraction(1, 12)
 
 
 def test_bar_family_is_the_mirror(table):
@@ -333,6 +348,64 @@ def test_singular_combination_vanishes_along_family(table):
     # a generic straight line does NOT kill it: weight lambda = kappa/16
     bogus = combo.poly.substitute({LAMBDA: Fraction(7, 9), CC: Fraction(1, 2)})
     assert not bogus.is_zero
+
+
+def _sympy_surviving_monomials(sympy, poly, r, s):
+    """Body monomials whose (lambda, c)-coefficient is nonzero along (r, s)."""
+    kappa = sympy.Symbol("kappa")
+    values = {
+        (LAMBDA.kind, LAMBDA.index): ((r * kappa - 4 * s) ** 2 - (kappa - 4) ** 2)
+        / (16 * kappa),
+        (CC.kind, CC.index): (6 - kappa) * (3 * kappa - 8) / (2 * kappa),
+    }
+    grouped = {}
+    for mono, coeff in poly.terms():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        body = []
+        for kind, index, exp in mono:
+            if (kind, index) in values:
+                term *= values[kind, index] ** exp
+            else:
+                body.append((kind, index, exp))
+        grouped[tuple(body)] = grouped.get(tuple(body), 0) + term
+    return {
+        CoeffPoly({body: 1}).canonical_text()
+        for body, expr in grouped.items()
+        if sympy.cancel(expr) != 0
+    }
+
+
+def test_state_family_residuals_match_sympy(table):
+    sympy = pytest.importorskip("sympy")
+    v = vacuum_state()
+    quad = table.L(-1).apply(table.L(-1).apply(v)).poly
+    lowered = table.L(-2).apply(v).poly
+    null = quad - lowered * (Fraction(2, 3) * (2 * LAM + 1))
+    wrong = quad - lowered * (Fraction(1, 2) * (2 * LAM + 1))
+    # the level-2 null condition c(2 lambda + 1) = 2 lambda (5 - 8 lambda), squared
+    relation = C * (2 * LAM + 1) - 2 * LAM * (5 - 8 * LAM)
+    # its kappa^4-cleared numerator on family (1, 2) vanishes at kappa = 1..6
+    # but not identically, so fewer than the D + 1 = 9 sample points miss it
+    late = (
+        -71 * C + 112 * C * C + 70 * LAM - 6 * LAM * C
+        - 248 * LAM * C * C + 80 * LAM * LAM * C * C
+    )
+    cases = [
+        (null, (1, 2), set()),
+        (null, (2, 1), set()),
+        (null, (1, 3), {"1/1*a1^2", "1/1*a2"}),
+        (wrong, (1, 2), {"1/1*a1^2", "1/1*a2"}),
+        (wrong, (2, 1), {"1/1*a1^2", "1/1*a2"}),
+        (relation * relation * A2 + relation * LAM * C * A1, (1, 2), set()),
+        (relation * relation * A2 + late * A1, (1, 2), {"1/1*a1"}),
+        (relation * relation * A2 + late * A1, (2, 1), {"1/1*a1"}),
+    ]
+    for poly, (r, s), expect in cases:
+        residuals = state_family_residuals(poly, r, s)
+        assert set(residuals) == _sympy_surviving_monomials(sympy, poly, r, s) == expect
+    values = state_family_residuals(late * A1, 1, 2)["1/1*a1"]
+    assert len(values) == 9
+    assert values[:6] == (0,) * 6 and values[6] != 0
 
 
 # ---------------------------------------------------------------------------
