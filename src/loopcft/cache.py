@@ -97,9 +97,17 @@ def save_operator_table(table: OperatorTable, cache_dir: Path | str) -> Path:
     }
     payload = json.dumps(payload_obj, sort_keys=True).encode("utf-8")
     path = table_path(directory, table.max_index)
-    with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(_MAGIC, _VERSION, zlib.crc32(payload), len(payload)))
-        handle.write(payload)
+    # write a sibling temp file and rename it over the target, so a failed
+    # write never leaves a half-written table where a good one was
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(_HEADER.pack(_MAGIC, _VERSION, zlib.crc32(payload), len(payload)))
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

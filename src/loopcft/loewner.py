@@ -44,13 +44,14 @@ class DrivingFunction:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("grid step must be positive")
-        if not self.values:
+        samples = np.asarray(self.values, dtype=float)
+        if not samples.size:
             raise ValueError("driver needs at least the initial sample")
-        if self.values[0] != 0.0:
+        if samples[0] != 0.0:
             raise ValueError("drivers start at W_0 = 0")
-        if not all(math.isfinite(v) for v in self.values):
+        if not np.isfinite(samples).all():
             raise ValueError("driver samples must be finite")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(samples.tolist()))
 
     @classmethod
     def zero(cls, total_time: float, dt: float) -> "DrivingFunction":
@@ -221,7 +222,7 @@ def sample_sle_driving(
     rng = np.random.Generator(np.random.PCG64(seed))
     jumps = math.sqrt(kappa * dt) * rng.standard_normal(steps)
     walk = np.concatenate(([0.0], np.cumsum(jumps)))
-    return DrivingFunction(dt=dt, values=tuple(float(v) for v in walk))
+    return DrivingFunction(dt=dt, values=walk)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+
+log = logging.getLogger("loopcft.reports")
 
 _LAM = CoeffPoly.generator(LAMBDA)
 _C = CoeffPoly.generator(CC)
@@ -223,11 +226,12 @@ class Report:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def run(self, name: str, fn: Callable[[], tuple[bool, str]]) -> bool:
-        """Execute one check, timing it; domain blow-ups become failures."""
+        """Execute one check, timing it; any exception it raises becomes a failure."""
         start = time.perf_counter()
         try:
             ok, witness = fn()
-        except (spectral.PoleProximityError, loewner.SwallowedError) as exc:
+        except Exception as exc:
+            log.debug("check %r of suite %s raised", name, self.suite, exc_info=True)
             ok, witness = False, f"{type(exc).__name__}: {exc}"
         self.checks.append(
             CheckRecord(

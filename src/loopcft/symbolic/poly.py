@@ -1,13 +1,31 @@
-"""Exact multivariate polynomials over arbitrary-precision rationals.
+"""Exact multivariate polynomials over the rationals, in packed form.
 
 The coefficient ring for everything symbolic in this package: polynomials in
 the generators ``a_m``, ``abar_m`` (m >= 1), ``lambda`` (the highest weight)
-and ``c`` (the central charge), with ``fractions.Fraction`` coefficients.
-No floating point enters this module.
+and ``c`` (the central charge), with exact rational coefficients.  No
+floating point enters this module.
 
-Monomials are kept in a canonical sparse form and the generator order is
-fixed once and for all: the a-block sorts before the abar-block, and the two
-scalar symbols trail (``a1 < a2 < ... < abar1 < abar2 < ... < lambda < c``).
+Representation (packed exponent vectors, after Monagan & Pearce, CASC 2007):
+
+* A monomial is one Python int made of 16-bit fields, one per generator:
+  15 bits of exponent under a guard bit.  Each generator owns a fixed
+  field (its slot): ``lambda -> 0``, ``c -> 1``, ``a_m -> 2m`` and
+  ``abar_m -> 2m + 1``, for m up to ``MAX_INDEX``.  The product of two
+  monomials is the sum of their ints; a guard bit set in the sum means an
+  exponent passed ``MAX_EXPONENT``, which raises ``OverflowError`` and
+  never wraps into the next field.
+* A polynomial holds ``{monomial: numerator}`` with int numerators over one
+  positive shared denominator, reduced so that the denominator and all
+  numerators have gcd 1.  That form is canonical, so equality and hashing
+  compare it directly, and the arithmetic loops touch only ints.
+
+Only the public boundary decodes (memoized per monomial): ``terms()``, the
+constant accessors, ``generators()``, the grading queries, ``evaluate``,
+``map_coefficients`` and the canonical text.  There a coefficient is a
+``fractions.Fraction`` and a monomial is a tuple of ``(kind, index,
+exponent)`` triples in the canonical generator order, fixed once and for
+all: the a-block sorts before the abar-block, and the two scalar symbols
+trail (``a1 < a2 < ... < abar1 < abar2 < ... < lambda < c``).
 Serialization ("canonical text") is graded-lexicographic in that order, so
 equal polynomials always print identically.
 """
@@ -16,7 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Callable, Iterator, Mapping
 
 __all__ = [
     "Generator",
@@ -36,12 +57,20 @@ _KIND_CC = 3
 
 _KIND_NAMES = {_KIND_A: "a", _KIND_ABAR: "abar", _KIND_LAMBDA: "lambda", _KIND_CC: "c"}
 
-# A monomial is a tuple of (kind, index, exponent) triples, sorted by
-# (kind, index), with all exponents > 0.  The empty tuple is the constant
-# monomial.  Kept as plain tuples (not dataclasses) for dict-key speed.
+# The decoded (public) monomial: (kind, index, exponent) triples sorted by
+# (kind, index), all exponents > 0; the empty tuple is the constant monomial.
 Monomial = tuple[tuple[int, int, int], ...]
 
-_ONE_MONO: Monomial = ()
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+MAX_INDEX = (1 << 12) - 1
+_SLOTS = 2 * MAX_INDEX + 2
+# One guard bit on top of every field: a geometric series, summed in closed form.
+_GUARD = ((1 << (_FIELD * _SLOTS)) - 1) // _FIELD_MASK << (_FIELD - 1)
+# The a_m fields (m >= 1), i.e. the low field of every 32-bit pair but the scalars'.
+_A_FIELDS = (((1 << (2 * _FIELD * (MAX_INDEX + 1))) - 1) // ((1 << 2 * _FIELD) - 1) - 1) * _FIELD_MASK
+_SCALAR_FIELDS = (1 << 2 * _FIELD) - 1
 
 
 class GradingError(ValueError):
@@ -100,39 +129,68 @@ def _as_fraction(value: object) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Merge two sorted exponent tuples."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out: list[tuple[int, int, int]] = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        k1, x1, e1 = m1[i]
-        k2, x2, e2 = m2[j]
-        key1, key2 = (k1, x1), (k2, x2)
-        if key1 == key2:
-            out.append((k1, x1, e1 + e2))
-            i += 1
-            j += 1
-        elif key1 < key2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+# -- packed monomials ----------------------------------------------------
+
+
+def _shift(kind: int, index: int) -> int | None:
+    """Bit offset of a generator's field, None past the packed range."""
+    if kind == _KIND_LAMBDA:
+        return 0
+    if kind == _KIND_CC:
+        return _FIELD
+    if index > MAX_INDEX:
+        return None
+    return _FIELD * (2 * index + (kind == _KIND_ABAR))
+
+
+def _encode(mono: Monomial) -> int:
+    packed = 0
+    for kind, index, exp in mono:
+        shift = _shift(kind, index)
+        if shift is None:
+            raise OverflowError(f"generator index {index} exceeds the packed range {MAX_INDEX}")
+        if exp > MAX_EXPONENT:
+            raise OverflowError(f"exponent {exp} exceeds the packed field {MAX_EXPONENT}")
+        if exp < 1:
+            raise ValueError(f"monomial exponents must be positive, got {exp}")
+        packed += exp << shift
+    if packed & _GUARD:
+        raise OverflowError(f"exponent exceeds the packed field {MAX_EXPONENT}")
+    return packed
+
+
+@lru_cache(maxsize=None)
+def _decode(mono: int) -> Monomial:
+    left: list[tuple[int, int, int]] = []
+    right: list[tuple[int, int, int]] = []
+    rest = mono >> 2 * _FIELD
+    index = 1
+    while rest:
+        exp = rest & _FIELD_MASK
+        if exp:
+            left.append((_KIND_A, index, exp))
+        exp = (rest >> _FIELD) & _FIELD_MASK
+        if exp:
+            right.append((_KIND_ABAR, index, exp))
+        rest >>= 2 * _FIELD
+        index += 1
+    if mono & _FIELD_MASK:
+        right.append((_KIND_LAMBDA, 0, mono & _FIELD_MASK))
+    if (mono >> _FIELD) & _FIELD_MASK:
+        right.append((_KIND_CC, 0, (mono >> _FIELD) & _FIELD_MASK))
+    return tuple(left + right)
+
+
+@lru_cache(maxsize=None)
+def _generators_of(mono: int) -> tuple[Generator, ...]:
+    return tuple(Generator(kind, index) for kind, index, _ in _decode(mono))
 
 
 def _mono_degree(mono: Monomial) -> int:
     return sum(e for _, _, e in mono)
 
 
-def _mono_lex_key(mono: Monomial) -> tuple:
+def _mono_lex_key(mono: int) -> tuple:
     """Sort key realizing graded-lex order, heaviest term first.
 
     Grading is total (unweighted) degree; ties break lexicographically on the
@@ -140,45 +198,77 @@ def _mono_lex_key(mono: Monomial) -> tuple:
     first.  Encoding: earlier generators and bigger exponents must compare
     *smaller*, so we negate degrees and exponents.
     """
-    return (-_mono_degree(mono), tuple((k, x, -e) for k, x, e in mono))
+    decoded = _decode(mono)
+    return (-_mono_degree(decoded), tuple((k, x, -e) for k, x, e in decoded))
+
+
+def _reach(nums: dict[int, int]) -> int:
+    """Bitwise OR of the monomials: each field bounds that generator's exponents."""
+    return reduce(or_, nums, 0)
+
+
+def _check_products(short: dict[int, int], long: dict[int, int]) -> None:
+    for m1 in short:
+        for m2 in long:
+            if (m1 + m2) & _GUARD:
+                raise OverflowError(f"product exponent exceeds the packed field {MAX_EXPONENT}")
+
+
+def _poly(nums: dict[int, int], den: int) -> "CoeffPoly":
+    poly = object.__new__(CoeffPoly)
+    poly._nums = nums
+    poly._den = den
+    return poly
+
+
+def _reduced(nums: dict[int, int], den: int) -> "CoeffPoly":
+    """Cancel the common factor of the denominator and every numerator."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: c // g for m, c in nums.items()}
+            den //= g
+    return _poly(nums, den)
 
 
 class CoeffPoly:
     """Immutable-by-convention exact polynomial.
 
-    Stored as ``{monomial: Fraction}`` with no zero coefficients.  All
-    operations return fresh instances; nothing mutates ``_terms`` after
-    construction.
+    Stored as ``{packed monomial: int numerator}`` with no zero numerators,
+    over the shared positive denominator ``_den``.  All operations return
+    fresh instances; nothing mutates ``_nums`` after construction.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, *, _raw: dict | None = None):
-        if _raw is not None:
-            self._terms = _raw
-            return
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coef in terms.items():
-                coef = _as_fraction(coef)
-                if coef:
-                    clean[mono] = coef
-        self._terms = clean
+    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
+        pairs = [(_encode(mono), _as_fraction(coef)) for mono, coef in (terms or {}).items()]
+        den = lcm(*(coef.denominator for _, coef in pairs))
+        nums: dict[int, int] = {}
+        for mono, coef in pairs:
+            num = nums.get(mono, 0) + coef.numerator * (den // coef.denominator)
+            if num:
+                nums[mono] = num
+            else:
+                nums.pop(mono, None)
+        g = gcd(den, *nums.values())
+        self._nums = {m: c // g for m, c in nums.items()} if g != 1 else nums
+        self._den = den // g
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "CoeffPoly":
-        return CoeffPoly(_raw={})
+        return _poly({}, 1)
 
     @staticmethod
     def one() -> "CoeffPoly":
-        return CoeffPoly(_raw={_ONE_MONO: Fraction(1)})
+        return _poly({0: 1}, 1)
 
     @staticmethod
     def constant(value: object) -> "CoeffPoly":
         v = _as_fraction(value)
-        return CoeffPoly(_raw={_ONE_MONO: v} if v else {})
+        return _poly({0: v.numerator} if v else {}, v.denominator)
 
     @staticmethod
     def generator(gen: Generator, exponent: int = 1) -> "CoeffPoly":
@@ -186,92 +276,96 @@ class CoeffPoly:
             raise ValueError("negative exponents are not polynomial")
         if exponent == 0:
             return CoeffPoly.one()
-        return CoeffPoly(_raw={((gen.kind, gen.index, exponent),): Fraction(1)})
+        return _poly({_encode(((gen.kind, gen.index, exponent),)): 1}, 1)
 
     # -- basic queries ------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((_decode(m), Fraction(c, den)) for m, c in self._nums.items())
 
     def constant_part(self) -> Fraction:
-        return self._terms.get(_ONE_MONO, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def as_constant(self) -> Fraction:
         """The value of a constant polynomial; raises if generators are present."""
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1 and _ONE_MONO in self._terms:
-            return self._terms[_ONE_MONO]
+        if self._nums.keys() <= {0}:
+            return self.constant_part()
         raise ValueError(f"not a constant polynomial: {self.canonical_text()}")
 
     def generators(self) -> set[Generator]:
         found: set[Generator] = set()
-        for mono in self._terms:
-            for kind, index, _ in mono:
-                found.add(Generator(kind, index))
+        for mono in self._nums:
+            found.update(_generators_of(mono))
         return found
 
     def max_coefficient_index(self) -> int:
         """Largest index appearing among a/abar generators (0 if none)."""
-        best = 0
-        for mono in self._terms:
-            for kind, index, _ in mono:
-                if kind in (_KIND_A, _KIND_ABAR) and index > best:
-                    best = index
-        return best
+        # the largest packed int holds the highest occupied field
+        top = max(self._nums, default=0).bit_length()
+        return (top - 1) // (2 * _FIELD) if top > 2 * _FIELD else 0
 
     def total_degree(self) -> int:
         """Maximal unweighted degree over monomials (0 for the zero polynomial)."""
-        return max((_mono_degree(m) for m in self._terms), default=0)
+        return max((_mono_degree(_decode(m)) for m in self._nums), default=0)
 
     # -- ring operations ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, CoeffPoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == CoeffPoly.constant(other)._terms
+            other = CoeffPoly.constant(other)
+        if isinstance(other, CoeffPoly):
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __add__(self, other: "CoeffPoly | int | Fraction") -> "CoeffPoly":
         if isinstance(other, (int, Fraction)):
             other = CoeffPoly.constant(other)
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        if not self._terms:
+        if not self._nums:
             return other
-        if not other._terms:
+        if not other._nums:
             return self
-        out = dict(self._terms)
-        for mono, coef in other._terms.items():
-            acc = out.get(mono)
+        den = self._den
+        theirs = other._nums.items()
+        if other._den == den:
+            out = dict(self._nums)
+        else:
+            den = lcm(den, other._den)
+            mine, factor = den // self._den, den // other._den
+            out = {m: c * mine for m, c in self._nums.items()}
+            theirs = [(m, c * factor) for m, c in theirs]
+        get = out.get
+        for mono, coef in theirs:
+            acc = get(mono)
             if acc is None:
                 out[mono] = coef
             else:
-                acc = acc + coef
+                acc += coef
                 if acc:
                     out[mono] = acc
                 else:
                     del out[mono]
-        return CoeffPoly(_raw=out)
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoeffPoly":
-        return CoeffPoly(_raw={m: -c for m, c in self._terms.items()})
+        return _poly({m: -c for m, c in self._nums.items()}, self._den)
 
     def __sub__(self, other: "CoeffPoly | int | Fraction") -> "CoeffPoly":
         if isinstance(other, (int, Fraction)):
@@ -288,30 +382,40 @@ class CoeffPoly:
             scalar = _as_fraction(other)
             if not scalar:
                 return CoeffPoly.zero()
-            return CoeffPoly(_raw={m: c * scalar for m, c in self._terms.items()})
+            num = scalar.numerator
+            return _reduced({m: c * num for m, c in self._nums.items()}, self._den * scalar.denominator)
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._nums or not other._nums:
             return CoeffPoly.zero()
-        # schoolbook product; term counts stay small in this package
-        shorter, longer = (self._terms, other._terms)
+        # schoolbook product; monomial product is one int addition
+        shorter, longer = self._nums, other._nums
         if len(shorter) > len(longer):
             shorter, longer = longer, shorter
-        out: dict[Monomial, Fraction] = {}
+        den = self._den * other._den
+        if len(shorter) == 1:
+            ((m1, c1),) = shorter.items()
+            if (m1 + _reach(longer)) & _GUARD:
+                _check_products(shorter, longer)
+            return _reduced({m1 + m2: c1 * c2 for m2, c2 in longer.items()}, den)
+        if (_reach(shorter) + _reach(longer)) & _GUARD:
+            _check_products(shorter, longer)
+        out: dict[int, int] = {}
+        get = out.get
+        items = longer.items()
         for m1, c1 in shorter.items():
-            for m2, c2 in longer.items():
-                mono = _mono_mul(m1, m2)
-                coef = c1 * c2
-                acc = out.get(mono)
+            for m2, c2 in items:
+                mono = m1 + m2
+                acc = get(mono)
                 if acc is None:
-                    out[mono] = coef
+                    out[mono] = c1 * c2
                 else:
-                    acc = acc + coef
+                    acc += c1 * c2
                     if acc:
                         out[mono] = acc
                     else:
                         del out[mono]
-        return CoeffPoly(_raw=out)
+        return _reduced(out, den)
 
     __rmul__ = __mul__
 
@@ -333,20 +437,16 @@ class CoeffPoly:
 
     def derivative(self, gen: Generator) -> "CoeffPoly":
         """Exact partial derivative with respect to one generator."""
-        key = (gen.kind, gen.index)
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self._terms.items():
-            for pos, (kind, index, exp) in enumerate(mono):
-                if (kind, index) == key:
-                    if exp == 1:
-                        new_mono = mono[:pos] + mono[pos + 1 :]
-                    else:
-                        new_mono = mono[:pos] + ((kind, index, exp - 1),) + mono[pos + 1 :]
-                    new_coef = coef * exp
-                    acc = out.get(new_mono)
-                    out[new_mono] = new_coef if acc is None else acc + new_coef
-                    break
-        return CoeffPoly(_raw={m: c for m, c in out.items() if c})
+        shift = _shift(gen.kind, gen.index)
+        if shift is None:
+            return CoeffPoly.zero()
+        unit = 1 << shift
+        out: dict[int, int] = {}
+        for mono, coef in self._nums.items():
+            exp = (mono >> shift) & MAX_EXPONENT
+            if exp:
+                out[mono - unit] = coef * exp
+        return _reduced(out, self._den)
 
     def substitute(self, assignment: Mapping[Generator, Fraction | int]) -> "CoeffPoly":
         """Eliminate the assigned generators by exact evaluation.
@@ -356,45 +456,51 @@ class CoeffPoly:
         """
         if not assignment:
             return self
-        lookup = {(g.kind, g.index): _as_fraction(v) for g, v in assignment.items()}
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self._terms.items():
-            kept: list[tuple[int, int, int]] = []
-            scale = coef
-            for kind, index, exp in mono:
-                val = lookup.get((kind, index))
-                if val is None:
-                    kept.append((kind, index, exp))
-                else:
-                    scale = scale * val**exp
-            if not scale:
+        # Over the common denominator den * prod q^top, a term with exponent
+        # e of the value p/q gains the factor p^e q^(top - e).
+        den = self._den
+        fields: list[tuple[int, list[int]]] = []
+        for gen, value in assignment.items():
+            value = _as_fraction(value)
+            shift = _shift(gen.kind, gen.index)
+            if shift is None:
                 continue
-            key = tuple(kept)
-            acc = out.get(key)
+            top = max(((m >> shift) & MAX_EXPONENT for m in self._nums), default=0)
+            if top:
+                p, q = value.numerator, value.denominator
+                fields.append((shift, [p**e * q ** (top - e) for e in range(top + 1)]))
+                den *= q**top
+        if not fields:
+            return self
+        out: dict[int, int] = {}
+        get = out.get
+        for mono, coef in self._nums.items():
+            for shift, factors in fields:
+                exp = (mono >> shift) & MAX_EXPONENT
+                coef *= factors[exp]
+                mono -= exp << shift
+            if not coef:
+                continue
+            acc = get(mono)
             if acc is None:
-                out[key] = scale
+                out[mono] = coef
             else:
-                acc = acc + scale
+                acc += coef
                 if acc:
-                    out[key] = acc
+                    out[mono] = acc
                 else:
-                    del out[key]
-        return CoeffPoly(_raw=out)
+                    del out[mono]
+        return _reduced(out, den)
 
     def swap_bars(self) -> "CoeffPoly":
         """The a <-> abar involution (lambda and c are fixed)."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self._terms.items():
-            swapped = tuple(
-                (
-                    _KIND_ABAR if kind == _KIND_A else (_KIND_A if kind == _KIND_ABAR else kind),
-                    index,
-                    exp,
-                )
-                for kind, index, exp in mono
-            )
-            out[tuple(sorted(swapped, key=lambda t: (t[0], t[1])))] = coef
-        return CoeffPoly(_raw=out)
+        return _poly(
+            {
+                (m & _SCALAR_FIELDS) | ((m & _A_FIELDS) << _FIELD) | ((m >> _FIELD) & _A_FIELDS): c
+                for m, c in self._nums.items()
+            },
+            self._den,
+        )
 
     def bidegree(self, *, strict: bool = True) -> tuple[int, int]:
         """Weighted (left, right) degree: max over monomials of sum m*deg.
@@ -404,43 +510,28 @@ class CoeffPoly:
         Returns (0, 0) for constants and for the zero polynomial.
         """
         left = right = 0
-        for mono in self._terms:
-            l = r = 0
-            for kind, index, exp in mono:
-                if kind == _KIND_A:
-                    l += index * exp
-                elif kind == _KIND_ABAR:
-                    r += index * exp
-                elif strict:
-                    raise GradingError(
-                        "bidegree of a polynomial involving lambda/c requested in strict mode"
-                    )
+        for mono in self._nums:
+            if strict and mono & _SCALAR_FIELDS:
+                raise GradingError(
+                    "bidegree of a polynomial involving lambda/c requested in strict mode"
+                )
+            l, r = _weighted_degree(mono)
             left = max(left, l)
             right = max(right, r)
         return (left, right)
 
     def weighted_monomial_degrees(self) -> set[tuple[int, int]]:
         """The set of per-monomial weighted (left, right) degrees, lambda/c ignored."""
-        out: set[tuple[int, int]] = set()
-        for mono in self._terms:
-            l = r = 0
-            for kind, index, exp in mono:
-                if kind == _KIND_A:
-                    l += index * exp
-                elif kind == _KIND_ABAR:
-                    r += index * exp
-            out.add((l, r))
-        return out
+        return {_weighted_degree(mono) for mono in self._nums}
 
     def map_coefficients(self, fn: Callable[[Fraction], Fraction]) -> "CoeffPoly":
-        out = {m: fn(c) for m, c in self._terms.items()}
-        return CoeffPoly(_raw={m: c for m, c in out.items() if c})
+        return CoeffPoly({m: fn(c) for m, c in self.terms()})
 
     def evaluate(self, values: Mapping[Generator, complex]) -> complex:
         """Numeric evaluation; every generator present must be assigned."""
         lookup = {(g.kind, g.index): v for g, v in values.items()}
         total = 0j
-        for mono, coef in self._terms.items():
+        for mono, coef in self.terms():
             term: complex = complex(coef)
             for kind, index, exp in mono:
                 try:
@@ -456,13 +547,13 @@ class CoeffPoly:
 
     def canonical_text(self) -> str:
         """Deterministic serialization: graded-lex monomial order, num/den rationals."""
-        if not self._terms:
+        if not self._nums:
             return "0/1"
         pieces: list[str] = []
-        for mono in sorted(self._terms, key=_mono_lex_key):
-            coef = self._terms[mono]
+        for mono in sorted(self._nums, key=_mono_lex_key):
+            coef = Fraction(self._nums[mono], self._den)
             factors = [f"{coef.numerator}/{coef.denominator}"]
-            for kind, index, exp in mono:
+            for kind, index, exp in _decode(mono):
                 name = _KIND_NAMES[kind] + (str(index) if index else "")
                 factors.append(name if exp == 1 else f"{name}^{exp}")
             pieces.append("*".join(factors))
@@ -497,6 +588,16 @@ class CoeffPoly:
 
     def __repr__(self) -> str:
         return f"CoeffPoly({self.canonical_text()})"
+
+
+def _weighted_degree(mono: int) -> tuple[int, int]:
+    left = right = 0
+    for kind, index, exp in _decode(mono):
+        if kind == _KIND_A:
+            left += index * exp
+        elif kind == _KIND_ABAR:
+            right += index * exp
+    return (left, right)
 
 
 def _parse_generator_name(name: str) -> Generator:

@@ -270,11 +270,18 @@ class LaurentSeries:
     def __pow__(self, n: int) -> "LaurentSeries":
         if n == 0:
             return LaurentSeries.monomial(0, 1, None)
+        # binary powering: by the mul rule x^k has order o + (k-1)v however
+        # its factors are grouped, so this matches the sequential product
         base = self if n > 0 else self.inverse()
-        result = base
-        for _ in range(abs(n) - 1):
-            result = result * base
-        return result
+        n = abs(n)
+        result = None
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def derivative(self) -> "LaurentSeries":
         order = self.order if self.order == _INF else self.order - 1

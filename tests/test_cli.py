@@ -134,6 +134,25 @@ def test_single_loewner_seed_is_usage_error(runner, command):
     assert "Traceback" not in result.output
 
 
+def test_exception_inside_a_check_becomes_a_failure(runner, monkeypatch):
+    from loopcft import reports
+
+    def broken(level):
+        raise AssertionError("gram matrix unavailable")
+
+    monkeypatch.setattr(reports, "gram_matrix", broken)
+    result = runner.invoke(main, ["kac", "--level", "2", "--kappa", "3/1"])
+    assert result.exit_code == 1
+    report = _report(result)
+    assert report["schema_version"] == "1"
+    assert report["overall"] == "fail"
+    check = next(c for c in report["checks"] if c["name"].startswith("level-2 matrix"))
+    assert check["status"] == "fail"
+    assert check["witness"] == "AssertionError: gram matrix unavailable"
+    # the remaining checks still ran
+    assert any(c["status"] == "pass" for c in report["checks"])
+
+
 # ---------------------------------------------------------------------------
 # report schema and determinism
 # ---------------------------------------------------------------------------
@@ -234,6 +253,40 @@ def test_cache_round_trip_is_exact(tmp_path):
             assert got.id_coeff == want.id_coeff
             assert got.d_a == want.d_a
             assert got.d_abar == want.d_abar
+
+
+def test_cache_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    _, info = cache_store.warm(tmp_path, max_mode=1, max_index=4)
+    path = Path(info["path"])
+    before = path.read_bytes()
+
+    class FailingFile:
+        """Writes the header, then fails on the payload."""
+
+        def __init__(self, target, mode):
+            self.handle = open(target, mode)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                self.handle.write(data[: len(data) // 2])
+                raise OSError("disk full")
+            return self.handle.write(data)
+
+    monkeypatch.setattr(cache_store, "open", FailingFile, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        cache_store.warm(tmp_path, max_mode=2, max_index=4)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert cache_store.load_operator_table(tmp_path, 4) is not None
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 def test_cache_missing_and_wrong_window(tmp_path):

@@ -27,6 +27,7 @@ from loopcft.symbolic import (
     series_reversion,
     solve_unique,
 )
+from loopcft.symbolic.poly import MAX_EXPONENT, MAX_INDEX
 
 A1 = CoeffPoly.generator(a(1))
 A2 = CoeffPoly.generator(a(2))
@@ -97,6 +98,119 @@ def test_derivative_product_rule(p, q):
 def test_bar_swap_is_a_ring_involution(p, q):
     assert p.swap_bars().swap_bars() == p
     assert (p * q).swap_bars() == p.swap_bars() * q.swap_bars()
+
+
+# -- the packed kernel against sympy, at the exponent field, and in its canonical form
+
+
+SYMPY_NAMES = {a(1): "a1", a(2): "a2", abar(1): "abar1", abar(2): "abar2", LAMBDA: "lam", CC: "c"}
+
+
+def _sympy_ring():
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    R, *gens = ring(",".join(SYMPY_NAMES.values()), QQ)
+    return R, QQ, dict(zip(SYMPY_NAMES, gens))
+
+
+def _to_sympy(poly, R, QQ, gens):
+    by_key = {(g.kind, g.index): x for g, x in gens.items()}
+    out = R.zero
+    for mono, coeff in poly.terms():
+        term = R(QQ(coeff.numerator, coeff.denominator))
+        for kind, index, exp in mono:
+            term *= by_key[kind, index] ** exp
+        out += term
+    return out
+
+
+mixed_fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=30)
+
+
+@st.composite
+def mixed_polys(draw, max_terms=5):
+    """Sums of monomials whose coefficients carry unrelated denominators."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        gens = draw(st.lists(generators_st, max_size=3, unique=True))
+        mono = tuple(
+            sorted((g.kind, g.index, draw(st.integers(1, 3))) for g in gens)
+        )
+        terms[mono] = draw(mixed_fractions_st)
+    return CoeffPoly(terms)
+
+
+@given(mixed_polys(), mixed_polys(), generators_st, mixed_fractions_st, mixed_fractions_st)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_sympy_ring(p, q, gen, x, y):
+    pytest.importorskip("sympy")
+    R, QQ, gens = _sympy_ring()
+    sp, sq = _to_sympy(p, R, QQ, gens), _to_sympy(q, R, QQ, gens)
+    assert _to_sympy(p + q, R, QQ, gens) == sp + sq
+    assert _to_sympy(p - q, R, QQ, gens) == sp - sq
+    assert _to_sympy(p * q, R, QQ, gens) == sp * sq
+    assert _to_sympy(p * x, R, QQ, gens) == sp * QQ(x.numerator, x.denominator)
+    assert _to_sympy(p.derivative(gen), R, QQ, gens) == sp.diff(gens[gen])
+    other = a(2) if gen != a(2) else LAMBDA
+    values = {gen: x, other: y}
+    want = sp.subs([(gens[g], QQ(v.numerator, v.denominator)) for g, v in values.items()])
+    assert _to_sympy(p.substitute(values), R, QQ, gens) == want
+
+
+def test_exponent_field_boundary():
+    top = CoeffPoly.generator(a(3), MAX_EXPONENT)
+    assert dict(top.terms()) == {((a(3).kind, 3, MAX_EXPONENT),): 1}
+    assert (CoeffPoly.generator(a(3), MAX_EXPONENT - 1) * A3) == top
+    # a neighbouring field is untouched by the full one
+    assert (top * A2 * AB3).generators() == {a(2), a(3), abar(3)}
+    assert top.derivative(a(3)) == MAX_EXPONENT * CoeffPoly.generator(a(3), MAX_EXPONENT - 1)
+    with pytest.raises(OverflowError):
+        top * A3  # noqa: B018 - the product itself must raise
+    with pytest.raises(OverflowError):
+        (A1 + 2 * top) * (A3 - C)  # noqa: B018
+    with pytest.raises(OverflowError):
+        top * top  # noqa: B018
+    with pytest.raises(OverflowError):
+        CoeffPoly.generator(LAMBDA, MAX_EXPONENT + 1)
+    with pytest.raises(OverflowError):
+        CoeffPoly.generator(a(MAX_INDEX + 1))
+
+
+@given(st.integers(1, MAX_EXPONENT), st.integers(1, MAX_EXPONENT), st.sampled_from([a(1), abar(4), LAMBDA, CC]))
+def test_exponent_products_raise_exactly_past_the_field(e1, e2, gen):
+    left, right = CoeffPoly.generator(gen, e1), CoeffPoly.generator(gen, e2) + A2
+    if e1 + e2 > MAX_EXPONENT:
+        with pytest.raises(OverflowError):
+            left * right  # noqa: B018
+    else:
+        assert left * right == CoeffPoly.generator(gen, e1 + e2) + left * A2
+
+
+@given(mixed_polys())
+def test_canonical_text_round_trip_mixed_denominators(p):
+    back = CoeffPoly.from_canonical_text(p.canonical_text())
+    assert back == p
+    assert back.canonical_text() == p.canonical_text()
+
+
+def test_equal_polynomials_built_by_different_routes_hash_equal():
+    x = Fraction(1, 6) * A1 + Fraction(1, 3) * AB1 * LAM - Fraction(5, 4)
+    routes = [
+        x,
+        CoeffPoly({((0, 1, 1),): Fraction(1, 6), ((1, 1, 1), (2, 0, 1)): Fraction(1, 3), (): Fraction(-5, 4)}),
+        CoeffPoly.from_canonical_text(x.canonical_text()),
+        (x * 12 + A1 * A2) * Fraction(1, 12) - Fraction(1, 12) * A2 * A1,
+        (x + Fraction(1, 7) * C) - C * Fraction(2, 14),
+        (x * x - x * x) + x,
+        (A1 * A1 * Fraction(1, 12)).derivative(a(1)) + (AB1 * LAM + 1).map_coefficients(lambda c: c / 3) - Fraction(19, 12),
+        x.swap_bars().swap_bars(),
+    ]
+    for other in routes:
+        assert other == x
+        assert hash(other) == hash(x)
+    assert CoeffPoly.constant(Fraction(4, 6)) == Fraction(2, 3)
+    assert hash(A1 - A1) == hash(CoeffPoly.zero())
 
 
 def test_canonical_text_goldens():
@@ -244,6 +358,24 @@ def test_inverse_needs_rational_unit_lead():
         LaurentSeries(0, [A1, Fraction(1)], 4).inverse()
     mono = LaurentSeries.monomial(3, Fraction(2, 5), None)
     assert mono.inverse() == LaurentSeries.monomial(-3, Fraction(5, 2), None)
+
+
+@pytest.mark.parametrize("n", range(-8, 9))
+def test_binary_power_matches_sequential_product(n):
+    order = 7
+    # the welding map F(z) = z(1 + a_1 z + ... + a_5 z^5) + O(z^7)
+    F = LaurentSeries(1, [CoeffPoly.one()] + [CoeffPoly.generator(a(j)) for j in range(1, order - 1)], order)
+    got = F**n
+    if n == 0:
+        assert got == LaurentSeries.monomial(0, 1, None)
+        return
+    base = F if n > 0 else F.inverse()
+    want = base
+    for _ in range(abs(n) - 1):
+        want = want * base
+    assert got.valuation == want.valuation == n
+    assert got.order == want.order
+    assert got.coeffs == want.coeffs
 
 
 @st.composite
