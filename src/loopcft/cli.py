@@ -17,6 +17,7 @@ from . import __version__, cache as cache_store, loewner
 from .reports import (
     Report,
     RunConfig,
+    loewner_kappa,
     report_all,
     suite_bubble,
     suite_commutators,
@@ -173,9 +174,11 @@ def loewner_demo(ctx, kappa, dt, seeds, seed, trace_csv, output):
     """Forward map, trace, and driver statistics for the random driver."""
     cfg = _config(ctx, kappa=kappa, loewner_dt=dt, loewner_seeds=seeds, seed=seed)
     if trace_csv is not None:
-        driver = loewner.sample_sle_driving(
-            float(cfg.kappa), 1.0, cfg.loewner_dt, seed=cfg.seed
-        )
+        try:
+            kappa = loewner_kappa(cfg)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+        driver = loewner.sample_sle_driving(kappa, 1.0, cfg.loewner_dt, seed=cfg.seed)
         rows = loewner.write_trace_csv(trace_csv, loewner.trace(driver))
         click.echo(f"trace with {rows} points written to {trace_csv}", err=True)
     _run_suite(ctx, suite_loewner, cfg, output)

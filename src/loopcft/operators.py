@@ -176,7 +176,7 @@ class ModeOperator:
                 f"{self.mode} operator only covers indices up to {self.max_index}"
             )
         out = _ZERO
-        for gen in poly.generators():
+        for gen in poly.generators_in_order():
             if gen.kind == _KIND_A:
                 coeff = self.d_a.get(gen.index)
             elif gen.kind == _KIND_ABAR:

@@ -55,6 +55,7 @@ __all__ = [
     "suite_reflection",
     "suite_bubble",
     "suite_loewner",
+    "loewner_kappa",
     "report_all",
 ]
 
@@ -597,12 +598,18 @@ def suite_bubble(
     return report
 
 
-def suite_loewner(cfg: RunConfig) -> Report:
-    """Forward map, trace tip, and driver variance for the random driver."""
-    report = Report("loewner-demo", cfg.params())
+def loewner_kappa(cfg: RunConfig) -> float:
+    """The config's kappa as a float, checked against the Loewner suite's range."""
     kappa = float(cfg.kappa)
     if not 0 < kappa <= 4:
         raise ValueError("loewner suite needs kappa in (0, 4]")
+    return kappa
+
+
+def suite_loewner(cfg: RunConfig) -> Report:
+    """Forward map, trace tip, and driver variance for the random driver."""
+    report = Report("loewner-demo", cfg.params())
+    kappa = loewner_kappa(cfg)
     dt = cfg.loewner_dt
 
     def closed_form_map() -> tuple[bool, str]:
@@ -630,7 +637,7 @@ def suite_loewner(cfg: RunConfig) -> Report:
         total = 0.0
         total_sq = 0.0
         for s in range(cfg.seed, cfg.seed + n):
-            w_final = loewner.sample_sle_driving(kappa, 1.0, dt, seed=s).values[-1]
+            w_final = loewner.sle_driving_endpoint(kappa, 1.0, dt, seed=s)
             total += w_final
             total_sq += w_final * w_final
         mean = total / n

@@ -304,10 +304,13 @@ class CoeffPoly:
         raise ValueError(f"not a constant polynomial: {self.canonical_text()}")
 
     def generators(self) -> set[Generator]:
-        found: set[Generator] = set()
-        for mono in self._nums:
-            found.update(_generators_of(mono))
-        return found
+        return set(self.generators_in_order())
+
+    def generators_in_order(self) -> tuple[Generator, ...]:
+        """The generators present, in canonical order (a_m, abar_m, lambda, c)."""
+        # a field of the OR is nonzero iff some monomial uses that generator;
+        # OR never carries across fields
+        return _generators_of(reduce(or_, self._nums, 0))
 
     def max_coefficient_index(self) -> int:
         """Largest index appearing among a/abar generators (0 if none)."""

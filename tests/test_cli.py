@@ -134,6 +134,18 @@ def test_single_loewner_seed_is_usage_error(runner, command):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("csv", [False, True])
+def test_loewner_kappa_out_of_range_is_usage_error(runner, tmp_path, csv):
+    # the trace CSV is sampled before the suite runs; both forms reject kappa first
+    target = tmp_path / "trace.csv"
+    argv = ["loewner-demo", "--kappa", "5", "--seeds", "2"]
+    result = runner.invoke(main, argv + (["--trace-csv", str(target)] if csv else []))
+    assert result.exit_code == 2
+    assert "loewner suite needs kappa in (0, 4]" in result.output
+    assert "Traceback" not in result.output
+    assert not target.exists()
+
+
 def test_exception_inside_a_check_becomes_a_failure(runner, monkeypatch):
     from loopcft import reports
 

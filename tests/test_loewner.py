@@ -15,6 +15,7 @@ from loopcft.loewner import (
     Trace,
     forward_map,
     sample_sle_driving,
+    sle_driving_endpoint,
     trace,
     trace_tip,
     write_driving_csv,
@@ -165,6 +166,43 @@ def test_trace_stays_in_upper_half_plane(seed):
     assert all(p.imag >= 0 for p in tr.points)
 
 
+def _upper_sqrt(values: np.ndarray) -> np.ndarray:
+    roots = np.sqrt(values.astype(complex))
+    return np.where(roots.imag < 0, -roots, roots)
+
+
+def _reference_trace_points(w: DrivingFunction) -> tuple[complex, ...]:
+    """The allocating zipper loop, one fresh array per operation."""
+    K = w.steps
+    dt = w.dt
+    increments = np.diff(np.asarray(w.values))
+    ys = np.zeros(K + 1, dtype=complex)
+    for j in range(K, 0, -1):
+        ys[j:] = _upper_sqrt(ys[j:] ** 2 - 4.0 * dt) + increments[j - 1]
+    ys.imag[ys.imag < 0] = 0.0
+    return tuple(complex(v) for v in ys)
+
+
+def _bits(points) -> list[tuple[str, str]]:
+    return [(p.real.hex(), p.imag.hex()) for p in points]
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+@pytest.mark.parametrize("seed", [0, 1, 11, 42])
+def test_in_place_trace_matches_reference_bitwise(seed, dt):
+    w = sample_sle_driving(3.0, 1.0, dt, seed=seed)
+    assert _bits(trace(w).points) == _bits(_reference_trace_points(w))
+
+
+def test_in_place_trace_matches_reference_on_deterministic_drivers():
+    K = 200
+    for w in (
+        DrivingFunction.zero(1.0, 1e-3),
+        DrivingFunction(dt=1e-3, values=(0.0,) + (0.7,) * K),
+    ):
+        assert _bits(trace(w).points) == _bits(_reference_trace_points(w))
+
+
 def test_trace_type_validation():
     with pytest.raises(ValueError):
         Trace(dt=0.1, points=(1 + 0j, 2j))
@@ -199,6 +237,26 @@ def test_sampler_parameter_validation():
         sample_sle_driving(3.0, 1.0, -1e-2, seed=0)
     with pytest.raises(ValueError):
         sample_sle_driving(3.0, 0.0, 1e-2, seed=0)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+def test_endpoint_is_the_sampled_driver_endpoint_bitwise(dt):
+    for seed in range(50):
+        want = sample_sle_driving(3.0, 1.0, dt, seed=seed).values[-1]
+        assert sle_driving_endpoint(3.0, 1.0, dt, seed=seed).hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "kappa, T, dt",
+    [(5.0, 1.0, 1e-2), (0.0, 1.0, 1e-2), (-1.0, 1.0, 1e-2), (3.0, 1.0, -1e-2),
+     (3.0, 1.0, 0.0), (3.0, 0.0, 1e-2), (3.0, -1.0, 1e-2),
+     (3.0, 1.0, math.inf)],  # infinite jumps: only the finiteness guard catches these
+)
+def test_endpoint_rejects_what_the_sampler_rejects(kappa, T, dt):
+    with pytest.raises(ValueError):
+        sample_sle_driving(kappa, T, dt, seed=0)
+    with pytest.raises(ValueError):
+        sle_driving_endpoint(kappa, T, dt, seed=0)
 
 
 def test_sampler_variance_small_panel():

@@ -35,6 +35,7 @@ from loopcft.symbolic import (
     CC,
     LAMBDA,
     CoeffPoly,
+    Generator,
     LaurentSeries,
     a,
     abar,
@@ -149,6 +150,38 @@ def test_series_order_independence():
         lean = build_mode_operator(n, max_index=6)
         padded = build_mode_operator(n, max_index=6, series_order=6 + abs(n) + 6)
         assert lean.agrees_with(padded), n
+
+
+def _derive_over_term_union(op: ModeOperator, poly: CoeffPoly) -> CoeffPoly:
+    """The derivation part, over the generators collected monomial by monomial."""
+    found = set()
+    for mono, _ in poly.terms():
+        found.update(Generator(kind, index) for kind, index, _ in mono)
+    out = ZERO
+    for gen in found:
+        coeff = {a(1).kind: op.d_a, abar(1).kind: op.d_abar}.get(gen.kind, {}).get(gen.index)
+        if coeff is not None and not coeff.is_zero:
+            out = out + coeff * poly.derivative(gen)
+    return out
+
+
+def test_derive_and_apply_match_the_term_union_reference(table):
+    states = [
+        mono
+        for left in range(4)
+        for right in range(4 - left)
+        for mono in _monomials_of_bidegree(left, right)
+    ]
+    mixed = [(LAM - C) * A2 * AB1 + Fraction(3, 7) * A1 * A1 * AB1, C * A3 - A1 * A2]
+    for n in range(-4, 5):
+        op = table.L(n)
+        for poly in states + mixed:
+            want = _derive_over_term_union(op, poly)
+            assert op.derive(poly).canonical_text() == want.canonical_text(), (n, poly)
+            state = fresh_state(poly)
+            left, right = state.level
+            want = want + op.e_coeff * (2 * LAM + (left + right)) * poly + op.id_coeff * poly
+            assert op.apply(state).poly.canonical_text() == want.canonical_text(), (n, poly)
 
 
 def test_apply_refuses_states_beyond_window():

@@ -10,6 +10,7 @@ from loopcft.symbolic import (
     CC,
     LAMBDA,
     CoeffPoly,
+    Generator,
     GradingError,
     InsufficientOrderError,
     LaurentSeries,
@@ -185,6 +186,43 @@ def test_exponent_products_raise_exactly_past_the_field(e1, e2, gen):
             left * right  # noqa: B018
     else:
         assert left * right == CoeffPoly.generator(gen, e1 + e2) + left * A2
+
+
+wide_generators_st = st.one_of(
+    generators_st,  # a small pool, so that monomials share generators
+    st.builds(a, st.integers(1, MAX_INDEX)),
+    st.builds(abar, st.integers(1, MAX_INDEX)),
+    st.sampled_from([LAMBDA, CC]),
+)
+
+exponents_st = st.one_of(st.integers(1, 3), st.integers(1, MAX_EXPONENT))
+
+
+@st.composite
+def wide_polys(draw, max_terms=5):
+    """Zero, constants and sums of monomials anywhere in the packed range."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        gens = draw(st.lists(wide_generators_st, max_size=4, unique=True))
+        mono = tuple(
+            sorted((g.kind, g.index, draw(exponents_st)) for g in gens)
+        )
+        terms[mono] = draw(mixed_fractions_st)
+    return CoeffPoly(terms)
+
+
+@given(wide_polys())
+def test_generators_are_the_union_over_terms(p):
+    want = {Generator(kind, index) for mono, _ in p.terms() for kind, index, _ in mono}
+    assert p.generators() == want
+    assert p.generators_in_order() == tuple(sorted(want, key=lambda g: (g.kind, g.index)))
+
+
+def test_generators_of_zero_and_constants():
+    for p in (CoeffPoly.zero(), CoeffPoly.one(), CoeffPoly.constant(Fraction(-3, 7))):
+        assert p.generators() == set()
+        assert p.generators_in_order() == ()
+    assert (A3 * AB1 + LAM - 2).generators_in_order() == (a(3), abar(1), LAMBDA)
 
 
 @given(mixed_polys())
