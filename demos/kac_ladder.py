@@ -11,11 +11,11 @@ Run:  python3 demos/kac_ladder.py [--kappa 3/1] [--levels 4]
 import argparse
 from fractions import Fraction
 
-from loopcft.symbolic import CC, LAMBDA, CoeffPoly, partition_count
+from loopcft.symbolic import LAMBDA, partition_count
 from loopcft.verma import (
     central_charge,
     gram_rank_at,
-    kac_determinant,
+    kac_determinant_at,
     kac_lambda,
     singular_vectors,
 )
@@ -32,7 +32,7 @@ def main() -> None:
     print(f"kappa = {kappa}, central charge = {charge}\n")
 
     for level in range(1, args.levels + 1):
-        det = kac_determinant(level).substitute({CC: charge})
+        det = kac_determinant_at(level, charge)
         print(f"level {level}  (basis size {partition_count(level)})")
         print(f"  det = {det.canonical_text()}")
 

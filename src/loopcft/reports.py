@@ -36,7 +36,7 @@ from .verma import (
     gram_entry,
     gram_matrix,
     gram_rank_at,
-    kac_determinant,
+    kac_determinant_at,
     kac_lambda,
     singular_vectors,
 )
@@ -350,7 +350,7 @@ def suite_kac(cfg: RunConfig) -> Report:
     report = Report("kac", cfg.params())
     level = cfg.level
     charge = central_charge(cfg.kappa)
-    det = kac_determinant(level).substitute({CC: charge})
+    det = kac_determinant_at(level, charge)
 
     def golden_level_two() -> tuple[bool, str]:
         matrix = gram_matrix(2)
@@ -362,7 +362,7 @@ def suite_kac(cfg: RunConfig) -> Report:
             for j in range(2):
                 if matrix[i][j] != expect[i][j]:
                     return False, f"entry ({i},{j}) differs"
-        det2 = kac_determinant(2).substitute({CC: charge})
+        det2 = kac_determinant_at(2, charge)
         product = (
             32
             * _LAM

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on dense ``list[list[Fraction]]`` matrices and does
-plain Gauss-Jordan elimination.  The matrices in this package are tiny
-(p(5) = 7 is a big one), so clarity and exactness beat sophistication; the
-point is that ranks, kernels and inverses come out with no floating-point
-ambiguity whatsoever.
+Everything here works on dense ``list[list[Fraction]]`` matrices.  Ranks,
+kernels, solutions and inverses come from Gauss-Jordan elimination over
+``Fraction``; the determinant clears each row's denominators and runs
+fraction-free Bareiss elimination on integers, which divides exactly and
+never reduces a fraction.  The determinant is on a hot path: the Kac
+determinant evaluates the Gram form at D + 1 weights per level (22 x 22
+matrices at level 8, 30 x 30 at level 9).  Nothing here is approximate, so
+ranks, kernels and inverses come out with no floating-point ambiguity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 __all__ = [
@@ -116,23 +120,36 @@ def invert(matrix: Sequence[Sequence[Fraction | int]]) -> Matrix:
 
 
 def determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Exact determinant by elimination with row pivoting."""
+    """Exact determinant by fraction-free (Bareiss 1968) elimination.
+
+    Each row is scaled to integers by the lcm of its denominators.  Each
+    step then replaces the trailing block by 2x2 minors over the pivot,
+    divided exactly (``//``) by the previous pivot, so every entry stays an
+    integer minor of the scaled matrix; the result is divided by the scales.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    m = _copy(matrix)
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                factor = m[i][c] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return det
+    m: list[list[int]] = []
+    scale = 1
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        tail = m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            factor = row[k]
+            row[k + 1 :] = [
+                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
+            ]
+        previous = pivot
+    return Fraction(sign * m[-1][-1] if n else 1, scale)

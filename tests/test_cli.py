@@ -227,6 +227,17 @@ def test_commutator_report_lists_every_pair(runner):
             assert f"bracket L({n}) Lbar({m})" in names
 
 
+@pytest.mark.parametrize("level, kappa", [("7", "8/3"), ("8", "3/1")])
+def test_kac_reaches_levels_seven_and_eight(runner, level, kappa):
+    result = runner.invoke(main, ["kac", "--level", level, "--kappa", kappa])
+    assert result.exit_code == 0, result.output
+    report = _report(result)
+    assert report["schema_version"] == "1"
+    assert report["overall"] == "pass"
+    assert [c["status"] for c in report["checks"]] == ["pass"] * 3
+    assert f"degenerate roots at level {level}" in [c["name"] for c in report["checks"]]
+
+
 def test_output_flag_writes_file(runner, tmp_path):
     target = tmp_path / "report.json"
     result = runner.invoke(

@@ -540,6 +540,65 @@ def test_inverse_or_zero_determinant(m):
                 assert entry == (1 if i == j else 0)
 
 
+def _reference_determinant(matrix):
+    """Elimination over Fraction with row pivoting, kept as the oracle for the
+    fraction-free routine."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            factor = m[i][c] / m[c][c]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+wide_fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+
+@st.composite
+def square_matrices(draw):
+    """Rational square matrices, some bent to be singular or to start on a zero pivot."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.lists(st.lists(wide_fractions_st, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "zero pivot", "zero column", "dependent row"]))
+    if n and shape == "zero pivot":
+        m[0][0] = Fraction(0)
+    elif n and shape == "zero column":
+        for row in m:
+            row[0] = Fraction(0)
+    elif n >= 2 and shape == "dependent row":
+        u, v = draw(wide_fractions_st), draw(wide_fractions_st)
+        m[-1] = [u * x + v * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@given(square_matrices())
+@settings(max_examples=100)
+def test_fraction_free_determinant_matches_fraction_elimination(m):
+    assert determinant(m) == _reference_determinant(m)
+
+
+def test_fraction_free_determinant_edge_cases():
+    assert determinant([]) == 1
+    assert determinant([[Fraction(-3, 7)]]) == Fraction(-3, 7)
+    # zero leading pivots force a row swap (sign flip) at two steps
+    assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert determinant([[1, 2], [2, 4]]) == 0
+    # the rows' denominators come back out exactly
+    assert determinant([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 7]]) == Fraction(103, 30)
+    with pytest.raises(ValueError):
+        determinant([[1, 2]])
+
+
 def test_solve_unique_paths():
     assert solve_unique([[2, 0], [0, 4]], [6, 8]) == [Fraction(3), Fraction(2)]
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcft.symbolic import CC, LAMBDA, CoeffPoly, partition_count, partitions_of
 from loopcft.verma import (
@@ -18,6 +20,7 @@ from loopcft.verma import (
     gram_rank_at,
     gram_report,
     kac_determinant,
+    kac_determinant_at,
     kac_lambda,
     normal_order,
     singular_vectors,
@@ -28,6 +31,7 @@ LAM = CoeffPoly.generator(LAMBDA)
 C = CoeffPoly.generator(CC)
 
 KAPPAS = [Fraction(2), Fraction(8, 3), Fraction(3), Fraction(4)]
+PRODUCT_KAPPAS = [Fraction(3), Fraction(2), Fraction(8, 3), Fraction(4), Fraction(7, 5)]
 
 
 def test_highest_weight_axioms():
@@ -154,6 +158,48 @@ def test_determinant_vanishes_exactly_at_degenerate_weights():
             assert det == CoeffPoly.zero(), (kappa, r, s)
 
 
+@pytest.mark.parametrize("kappa", KAPPAS, ids=str)
+def test_kac_determinant_at_matches_symbolic_route(kappa):
+    charge = central_charge(kappa)
+    for level in range(7):
+        fast = kac_determinant_at(level, charge)
+        oracle = kac_determinant(level).substitute({CC: charge})
+        assert fast.canonical_text() == oracle.canonical_text(), level
+
+
+@given(
+    st.integers(0, 4),
+    st.fractions(min_value=-60, max_value=60, max_denominator=60),
+)
+@settings(max_examples=40, deadline=None)
+def test_kac_determinant_at_matches_symbolic_route_at_any_charge(level, charge):
+    fast = kac_determinant_at(level, charge)
+    oracle = kac_determinant(level).substitute({CC: charge})
+    assert fast.canonical_text() == oracle.canonical_text()
+
+
+def _leading_coefficient(poly: CoeffPoly) -> Fraction:
+    return max(poly.terms(), key=lambda term: term[0][0][2] if term[0] else 0)[1]
+
+
+@pytest.mark.parametrize("kappa", PRODUCT_KAPPAS, ids=str)
+def test_kac_product_formula_with_multiplicities(kappa):
+    """det_N = const * prod_{rs <= N} (lambda - lambda_{r,s})^{p(N - rs)} (Kac 1979).
+
+    Comparing whole polynomials checks the degree and the multiplicity of
+    every root, not only that the degenerate weights vanish.
+    """
+    charge = central_charge(kappa)
+    for level in range(8):
+        det = kac_determinant_at(level, charge)
+        product = CoeffPoly.one()
+        for r in range(1, level + 1):
+            for s in range(1, level // r + 1):
+                factor = LAM - kac_lambda(r, s, kappa)
+                product = product * factor ** partition_count(level - r * s)
+        assert det == _leading_coefficient(det) * product, level
+
+
 def test_gram_rank_deficiency_at_degenerate_weights():
     for kappa in KAPPAS:
         charge = central_charge(kappa)
@@ -203,6 +249,7 @@ def test_gram_report_json():
     assert doc["basis"] == [[1, 1], [2]]
     assert doc["kappa"] == "3"
     assert len(doc["entries"]) == 2
+    assert doc["determinant"] == kac_determinant_at(2, Fraction(1, 2)).canonical_text()
     # symbolic variant carries the charge generator
     doc_sym = json.loads(gram_report(2))
     assert "c" in doc_sym["determinant"]
