@@ -12,6 +12,13 @@ polynomial realization of a level subspace is not spanned by
 bidegree-homogeneous monomials, states carry their bi-level as explicit
 data (:class:`StatePoly`) rather than reading it off monomial degrees.
 
+On a state the Euler and central terms act as one scalar polynomial,
+``s = e_coeff * (2*lambda + N + Ntilde) + id_coeff``, memoized per total
+level.  :meth:`ModeOperator.apply` hands the derivation coefficients and
+``s`` to :meth:`CoeffPoly.first_order`, which sums every product term into
+one accumulator over one common denominator and reduces only the result:
+no per-generator derivative, product or sum is ever built.
+
 The central coefficient comes from the Schwarzian cocycle.  With
 ``q = -F**(n+1) / F'`` the deformation field pulled back to the z-plane,
 ``vartheta_n = -res_z[S(F) q]``: the chain rule (S(G) o F) F'^2 = -S(F) for
@@ -46,7 +53,7 @@ from .symbolic import (
     schwarzian,
     series_reversion,
 )
-from .symbolic.poly import _KIND_A, _KIND_ABAR, _KIND_CC, _KIND_LAMBDA
+from .symbolic.poly import _KIND_CC, _KIND_LAMBDA
 from .verma import central_charge, cocycle, kac_lambda
 
 __all__ = [
@@ -123,7 +130,7 @@ class StatePoly:
         return StatePoly(self.poly + other.poly, self.level)
 
     def __sub__(self, other: "StatePoly") -> "StatePoly":
-        return self + other.scale(-1)
+        return self + StatePoly(-other.poly, other.level)
 
     def substitute(self, assignment) -> "StatePoly":
         return StatePoly(self.poly.substitute(assignment), self.level)
@@ -167,36 +174,50 @@ class ModeOperator:
     d_a: Mapping[int, CoeffPoly]
     d_abar: Mapping[int, CoeffPoly]
     provenance: str = field(compare=False, default="")
+    # the derivation part keyed by generator, zero coefficients dropped
+    _coeffs: dict = field(init=False, compare=False, repr=False)
+    # the scalar part at each total level N + Ntilde, filled on first use
+    _scalars: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
-    def derive(self, poly: CoeffPoly) -> CoeffPoly:
-        """The pure derivation part of the operator applied to a polynomial."""
+    def __post_init__(self):
+        coeffs = {gen_a(m): c for m, c in self.d_a.items() if not c.is_zero}
+        coeffs.update((gen_abar(m), c) for m, c in self.d_abar.items() if not c.is_zero)
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    def _check_window(self, poly: CoeffPoly) -> None:
         if poly.max_coefficient_index() > self.max_index:
             raise OperatorWindowError(
                 f"input reaches index {poly.max_coefficient_index()} but mode "
                 f"{self.mode} operator only covers indices up to {self.max_index}"
             )
-        out = _ZERO
-        for gen in poly.generators_in_order():
-            if gen.kind == _KIND_A:
-                coeff = self.d_a.get(gen.index)
-            elif gen.kind == _KIND_ABAR:
-                coeff = self.d_abar.get(gen.index)
-            else:
-                continue
-            if coeff is not None and not coeff.is_zero:
-                out = out + coeff * poly.derivative(gen)
-        return out
+
+    def derive(self, poly: CoeffPoly) -> CoeffPoly:
+        """The pure derivation part sum_g d_g * d/dg applied to a polynomial.
+
+        One pass of :meth:`CoeffPoly.first_order`: no per-generator
+        temporaries, one reduction of the result.
+        """
+        self._check_window(poly)
+        return poly.first_order(self._coeffs)
 
     def apply(self, state: StatePoly) -> StatePoly:
+        """The whole operator on a state, derivation and scalar part in one pass.
+
+        At bi-level (N, Ntilde) the Euler and identity terms act as the scalar
+        ``e_coeff * (2*lambda + N + Ntilde) + id_coeff`` (memoized per total
+        level), which joins the derivation in a single
+        :meth:`CoeffPoly.first_order` call.
+        """
         if state.is_zero:
             return state
-        out = self.derive(state.poly)
+        self._check_window(state.poly)
         n_left, n_right = state.level
-        if not self.e_coeff.is_zero:
-            eigen = 2 * _LAM + (n_left + n_right)
-            out = out + self.e_coeff * eigen * state.poly
-        if not self.id_coeff.is_zero:
-            out = out + self.id_coeff * state.poly
+        total = n_left + n_right
+        scalar = self._scalars.get(total)
+        if scalar is None:
+            scalar = self.e_coeff * (2 * _LAM + total) + self.id_coeff
+            self._scalars[total] = scalar
+        out = state.poly.first_order(self._coeffs, scalar)
         if self.bar:
             new_level = (n_left, n_right - self.mode)
         else:

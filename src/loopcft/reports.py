@@ -77,13 +77,15 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """Exact rational from a ``p/q`` string (or an int / Fraction as-is)."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, float):
         raise ValueError(
             f"refusing float {text!r} where an exact rational is required; "
             "write it as p/q"
         )
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -100,7 +102,9 @@ class RunConfig:
 
     Rational parameters arrive as exact ``p/q`` strings; ``weight`` is the
     conformal weight (the ``lambda`` key in config files, since ``lambda``
-    is not a valid attribute name).  All caps must be non-negative.
+    is not a valid attribute name).  Counts are ints (not bools) and must
+    be non-negative; tolerances and ``loewner_dt`` are finite and positive.
+    A value of the wrong type is a ``ValueError``, as is one out of range.
     """
 
     max_mode: int = 3
@@ -121,18 +125,34 @@ class RunConfig:
     # JSON config files use ``lambda`` for the weight knob.
     _KEY_ALIASES = {"lambda": "weight"}
     _RATIONAL_KEYS = {"kappa", "weight"}
+    _INT_KEYS = ("max_mode", "max_degree", "level", "seed", "loewner_seeds")
+    _REAL_KEYS = ("tol_reflection", "tol_pole", "tol_bubble", "tol_loewner", "loewner_dt")
+    _OTHER_TYPES = (
+        ("kappa", Fraction),
+        ("weight", (Fraction, type(None))),
+        ("output", str),
+        ("cache_dir", (str, type(None))),
+    )
 
     def __post_init__(self):
-        for name in ("max_mode", "max_degree", "level"):
-            if getattr(self, name) < 0:
+        for name in self._INT_KEYS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+        for name in self._REAL_KEYS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be finite and positive")
+        for name, kinds in self._OTHER_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        for name in ("tol_reflection", "tol_pole", "tol_bubble", "tol_loewner"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.loewner_dt <= 0:
-            raise ValueError("loewner_dt must be positive")
         if self.loewner_seeds < 2:
             raise ValueError("loewner_seeds must be at least 2")
 

@@ -19,6 +19,10 @@ Representation (packed exponent vectors, after Monagan & Pearce, CASC 2007):
   numerators have gcd 1.  That form is canonical, so equality and hashing
   compare it directly, and the arithmetic loops touch only ints.
 
+A first-order operator ``sum_g d_g * d/dg + s`` acts through ``first_order``
+in one pass: every product term goes into one accumulator over one common
+denominator, and only the result is reduced.
+
 Only the public boundary decodes (memoized per monomial): ``terms()``, the
 constant accessors, ``generators()``, the grading queries, ``evaluate``,
 ``map_coefficients`` and the canonical text.  There a coefficient is a
@@ -37,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 __all__ = [
     "Generator",
@@ -186,6 +190,12 @@ def _generators_of(mono: int) -> tuple[Generator, ...]:
     return tuple(Generator(kind, index) for kind, index, _ in _decode(mono))
 
 
+@lru_cache(maxsize=None)
+def _fields_of(mono: int) -> tuple[tuple[Generator, int], ...]:
+    """The generators present, each with the bit offset of its field."""
+    return tuple((gen, _shift(gen.kind, gen.index)) for gen in _generators_of(mono))
+
+
 def _mono_degree(mono: Monomial) -> int:
     return sum(e for _, _, e in mono)
 
@@ -207,7 +217,7 @@ def _reach(nums: dict[int, int]) -> int:
     return reduce(or_, nums, 0)
 
 
-def _check_products(short: dict[int, int], long: dict[int, int]) -> None:
+def _check_products(short: Iterable[int], long: Collection[int]) -> None:
     for m1 in short:
         for m2 in long:
             if (m1 + m2) & _GUARD:
@@ -450,6 +460,63 @@ class CoeffPoly:
             if exp:
                 out[mono - unit] = coef * exp
         return _reduced(out, self._den)
+
+    def first_order(
+        self, coeffs: Mapping[Generator, "CoeffPoly"], scalar: "CoeffPoly | None" = None
+    ) -> "CoeffPoly":
+        """The first-order operator sum_g coeffs[g] * d/dg + scalar, applied to self.
+
+        One pass, one reduction: a monomial m of exponent e in g, with
+        numerator c, meets every term (m', c') of coeffs[g] at m - unit_g + m'
+        with numerator c * e * c'; the scalar part puts c * c' at m + m'.
+        Everything is summed into one accumulator over the common denominator
+        (self's denominator times the lcm of the coefficients' denominators),
+        and only the result is reduced.  Generators absent from ``coeffs``
+        contribute nothing.  An exponent past ``MAX_EXPONENT`` raises
+        ``OverflowError`` as in ``__mul__``.
+        """
+        nums = self._nums
+        reach = _reach(nums)
+        parts: list[tuple[int, CoeffPoly]] = []
+        for gen, shift in _fields_of(reach):
+            coeff = coeffs.get(gen)
+            if coeff is not None and coeff._nums:
+                parts.append((shift, coeff))
+        if scalar is not None and scalar._nums:
+            parts.append((-1, scalar))
+        if not parts:
+            return CoeffPoly.zero()
+        scale = lcm(*(coeff._den for _, coeff in parts))
+        out: dict[int, int] = {}
+        get = out.get
+        for shift, coeff in parts:
+            factor = scale // coeff._den
+            if shift < 0:
+                sources = [(m, c * factor) for m, c in nums.items()]
+            else:
+                unit = 1 << shift
+                sources = []
+                for m, c in nums.items():
+                    exp = (m >> shift) & MAX_EXPONENT
+                    if exp:
+                        sources.append((m - unit, c * exp * factor))
+            # the derivative only lowers exponents, so self's reach bounds it
+            if (reach + _reach(coeff._nums)) & _GUARD:
+                _check_products([m for m, _ in sources], coeff._nums)
+            items = coeff._nums.items()
+            for m1, c1 in sources:
+                for m2, c2 in items:
+                    mono = m1 + m2
+                    acc = get(mono)
+                    if acc is None:
+                        out[mono] = c1 * c2
+                    else:
+                        acc += c1 * c2
+                        if acc:
+                            out[mono] = acc
+                        else:
+                            del out[mono]
+        return _reduced(out, self._den * scale)
 
     def substitute(self, assignment: Mapping[Generator, Fraction | int]) -> "CoeffPoly":
         """Eliminate the assigned generators by exact evaluation.

@@ -125,6 +125,45 @@ def test_missing_config_file_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"level": "3"}, "level must be an integer"),
+        ({"level": 2.5}, "level must be an integer"),
+        ({"level": True}, "level must be an integer"),
+        ({"tol_bubble": "x"}, "tol_bubble must be a number"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ],
+)
+@pytest.mark.parametrize("command", ["kac", "report-all"])
+def test_mistyped_config_is_usage_error(runner, tmp_path, config, message, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(main, ["--config", str(path), command])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
+def test_config_fields_are_type_checked():
+    for bad in (
+        {"max_mode": 1.0},
+        {"loewner_seeds": False},
+        {"tol_pole": float("nan")},
+        {"loewner_dt": float("inf")},
+        {"kappa": 3},
+        {"weight": "1/2"},
+        {"output": None},
+        {"cache_dir": 7},
+    ):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+    for bad in (True, [1], None):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    assert RunConfig(tol_bubble=1, seed=0).tol_bubble == 1
+
+
 @pytest.mark.parametrize("command", ["loewner-demo", "report-all"])
 def test_single_loewner_seed_is_usage_error(runner, command):
     # the variance check divides by seeds - 1

@@ -44,6 +44,7 @@ from loopcft.symbolic import (
     series_reversion,
     solve_unique,
 )
+from loopcft.symbolic.poly import _KIND_A, _KIND_ABAR, MAX_EXPONENT
 from loopcft.verma import central_charge, gram_entry, kac_lambda
 
 LAM = CoeffPoly.generator(LAMBDA)
@@ -54,6 +55,7 @@ A3 = CoeffPoly.generator(a(3))
 AB1 = CoeffPoly.generator(abar(1))
 AB2 = CoeffPoly.generator(abar(2))
 ZERO = CoeffPoly.zero()
+ONE = CoeffPoly.one()
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +186,210 @@ def test_derive_and_apply_match_the_term_union_reference(table):
             assert op.apply(state).poly.canonical_text() == want.canonical_text(), (n, poly)
 
 
+def _derive_per_generator(op: ModeOperator, poly: CoeffPoly) -> CoeffPoly:
+    """Oracle: the per-generator derivation loop that the one-pass kernel replaced."""
+    if poly.max_coefficient_index() > op.max_index:
+        raise OperatorWindowError(
+            f"input reaches index {poly.max_coefficient_index()} but mode "
+            f"{op.mode} operator only covers indices up to {op.max_index}"
+        )
+    out = ZERO
+    for gen in poly.generators_in_order():
+        if gen.kind == _KIND_A:
+            coeff = op.d_a.get(gen.index)
+        elif gen.kind == _KIND_ABAR:
+            coeff = op.d_abar.get(gen.index)
+        else:
+            continue
+        if coeff is not None and not coeff.is_zero:
+            out = out + coeff * poly.derivative(gen)
+    return out
+
+
+def _apply_per_generator(op: ModeOperator, state: StatePoly) -> StatePoly:
+    """Oracle: derivation, Euler and identity terms as separate products and sums."""
+    if state.is_zero:
+        return state
+    out = _derive_per_generator(op, state.poly)
+    n_left, n_right = state.level
+    if not op.e_coeff.is_zero:
+        eigen = 2 * LAM + (n_left + n_right)
+        out = out + op.e_coeff * eigen * state.poly
+    if not op.id_coeff.is_zero:
+        out = out + op.id_coeff * state.poly
+    if op.bar:
+        new_level = (n_left, n_right - op.mode)
+    else:
+        new_level = (n_left - op.mode, n_right)
+    return StatePoly(out, new_level if not out.is_zero else None)
+
+
+def _outcome(apply, op: ModeOperator, state: StatePoly):
+    """Canonical text and bi-level of an image, or the window refusal."""
+    try:
+        image = apply(op, state)
+    except OperatorWindowError:
+        return "window"
+    return image.poly.canonical_text(), image.level
+
+
+def test_apply_matches_the_per_generator_loop_on_monomial_states():
+    """All 139 monomial states of weighted degree <= 6, one and two steps, window 10."""
+    table = _shared_table()
+    ops = [table.mode_operator(n, bar) for bar in (False, True) for n in range(-4, 5)]
+    states = [
+        fresh_state(mono)
+        for total in range(7)
+        for left in range(total + 1)
+        for mono in _monomials_of_bidegree(left, total - left)
+    ]
+    assert len(states) == 139
+    for first in ops:
+        for state in states:
+            assert _outcome(ModeOperator.apply, first, state) == _outcome(
+                _apply_per_generator, first, state
+            ), (first, state)
+    # two steps at |n| <= 2, the compositions of the criterion-01 loop; equal
+    # polynomials share one reduced form, so == is the canonical-text check
+    inner = [op for op in ops if abs(op.mode) <= 2]
+    for first in inner:
+        for state in states:
+            image = first.apply(state)
+            for second in inner:
+                try:
+                    want = _apply_per_generator(second, image)
+                except OperatorWindowError:
+                    with pytest.raises(OperatorWindowError):
+                        second.apply(image)
+                    continue
+                got = second.apply(image)
+                assert (got.poly, got.level) == (want.poly, want.level), (second, first, state)
+
+
+def test_apply_matches_the_per_generator_loop_on_polynomial_states():
+    table = _shared_table()
+    states = [
+        StatePoly(ZERO, None),
+        StatePoly(Fraction(3, 7) * A1 * A2 - Fraction(5, 4) * A3 + Fraction(1, 6) * A1**3, (3, 0)),
+        StatePoly(Fraction(2, 9) * LAM * A2 * AB1 + Fraction(7, 10) * C * A1 * A1 * AB1, (2, 1)),
+        StatePoly(Fraction(-1, 15) * AB2 + Fraction(4, 3) * LAM * C * AB1 * AB1, (0, 2)),
+        psi_state((1, 2), (1,), table),
+    ]
+    for bar in (False, True):
+        for n in range(-4, 5):
+            op = table.mode_operator(n, bar)
+            for state in states:
+                got = _outcome(ModeOperator.apply, op, state)
+                assert got == _outcome(_apply_per_generator, op, state), (op, state)
+                if not state.is_zero:
+                    assert op.derive(state.poly) == _derive_per_generator(op, state.poly)
+    assert table.L(-1).apply(StatePoly(ZERO, None)).is_zero
+    assert table.L(-1).derive(ZERO).is_zero
+
+
+def test_commutator_parts_match_the_per_generator_loop(monkeypatch):
+    table = _shared_table()
+    modes = [n for k in range(1, 5) for n in (k, -k)]
+    pairs = [(table.L(n), table.L(m)) for n in modes for m in modes if n != m]
+    pairs += [(table.L(n), table.Lbar(m)) for n in modes for m in modes]
+
+    def texts(parts):
+        return (
+            parts["max_index"],
+            parts["e_coeff"].canonical_text(),
+            parts["id_coeff"].canonical_text(),
+            {m: c.canonical_text() for m, c in parts["d_a"].items()},
+            {m: c.canonical_text() for m, c in parts["d_abar"].items()},
+        )
+
+    fast = [texts(commutator_parts(u, t)) for u, t in pairs]
+    monkeypatch.setattr(ModeOperator, "derive", _derive_per_generator)
+    slow = [texts(commutator_parts(u, t)) for u, t in pairs]
+    assert fast == slow
+
+
+_kernel_generators = [a(1), a(2), a(3), abar(1), abar(2), LAMBDA, CC]
+
+
+_near_the_top = st.one_of(st.integers(1, 3), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
+
+
+@st.composite
+def _kernel_polys(draw, max_terms=4, exponents=st.integers(1, 3)):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        gens = draw(st.lists(st.sampled_from(_kernel_generators), max_size=3, unique=True))
+        mono = tuple(sorted((g.kind, g.index, draw(exponents)) for g in gens))
+        terms[mono] = draw(st.fractions(min_value=-9, max_value=9, max_denominator=30))
+    return CoeffPoly(terms)
+
+
+def _first_order_by_parts(poly, coeffs, scalar):
+    out = ZERO
+    for gen, coeff in coeffs.items():
+        out = out + coeff * poly.derivative(gen)
+    if scalar is not None:
+        out = out + scalar * poly
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _kernel_polys(),
+    st.dictionaries(st.sampled_from(_kernel_generators), _kernel_polys(max_terms=3)),
+    st.one_of(st.none(), _kernel_polys(max_terms=3)),
+)
+def test_first_order_matches_derivative_products_and_sums(poly, coeffs, scalar):
+    want = _first_order_by_parts(poly, coeffs, scalar)
+    got = poly.first_order(coeffs, scalar)
+    assert got == want
+    assert got.canonical_text() == want.canonical_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _kernel_polys(max_terms=3, exponents=_near_the_top),
+    st.dictionaries(
+        st.sampled_from(_kernel_generators),
+        _kernel_polys(max_terms=2, exponents=_near_the_top),
+        max_size=3,
+    ),
+    st.one_of(st.none(), _kernel_polys(max_terms=2, exponents=_near_the_top)),
+)
+def test_first_order_overflows_exactly_when_the_products_do(poly, coeffs, scalar):
+    try:
+        want = _first_order_by_parts(poly, coeffs, scalar)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            poly.first_order(coeffs, scalar)
+    else:
+        assert poly.first_order(coeffs, scalar) == want
+
+
+def test_apply_raises_past_the_exponent_field():
+    top = CoeffPoly.generator(a(1), MAX_EXPONENT)
+    square = ModeOperator(-1, False, 4, ZERO, ZERO, {1: A1 * A1}, {})
+    linear = ModeOperator(-1, False, 4, ZERO, ZERO, {1: A1}, {})
+    euler = ModeOperator(0, False, 4, ONE, ZERO, {}, {})
+    # d/da1 lowers a1^MAX by one; a linear coefficient lands exactly on the field's top
+    assert linear.apply(StatePoly(top, (MAX_EXPONENT, 0))).poly == MAX_EXPONENT * top
+    with pytest.raises(OverflowError):
+        square.apply(StatePoly(top, (MAX_EXPONENT, 0)))
+    with pytest.raises(OverflowError):
+        square.derive(top)
+    # the Euler scalar 2*lambda + N pushes lambda^MAX past the field
+    weight = CoeffPoly.generator(LAMBDA, MAX_EXPONENT) * A1
+    with pytest.raises(OverflowError):
+        euler.apply(StatePoly(weight, (1, 0)))
+
+
 def test_apply_refuses_states_beyond_window():
     op = build_mode_operator(-1, max_index=3)
     wide = fresh_state(CoeffPoly.generator(a(5)))
     with pytest.raises(OperatorWindowError):
         op.apply(wide)
+    with pytest.raises(OperatorWindowError):
+        op.derive(wide.poly)
 
 
 # ---------------------------------------------------------------------------
