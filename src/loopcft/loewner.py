@@ -21,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,14 +73,24 @@ class DrivingFunction:
 
     def at(self, t: float) -> float:
         """Linear interpolation between grid samples."""
-        if t <= 0:
-            return self.values[0]
-        position = t / self.dt
-        index = int(position)
-        if index >= self.steps:
-            return self.values[-1]
-        frac = position - index
-        return self.values[index] * (1 - frac) + self.values[index + 1] * frac
+        return self.interpolant()(t)
+
+    def interpolant(self) -> Callable[[float], float]:
+        """``at`` as a plain function, with the samples and grid bound once."""
+        values, dt, steps = self.values, self.dt, self.steps
+        first, last = values[0], values[-1]
+
+        def at(t: float) -> float:
+            if t <= 0:
+                return first
+            position = t / dt
+            index = int(position)
+            if index >= steps:
+                return last
+            frac = position - index
+            return values[index] * (1 - frac) + values[index + 1] * frac
+
+        return at
 
     def scaled(self, factor: float) -> "DrivingFunction":
         """Brownian rescaling t -> factor * W(t / factor^2)."""
@@ -122,14 +132,12 @@ class SwallowedError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(w: DrivingFunction, t: float, z: complex, h: float) -> complex:
-    def f(s: float, y: complex) -> complex:
-        return 2.0 / (y - w.at(s))
-
-    k1 = f(t, z)
-    k2 = f(t + h / 2, z + h / 2 * k1)
-    k3 = f(t + h / 2, z + h / 2 * k2)
-    k4 = f(t + h, z + h * k3)
+def _rk4_step(at: Callable[[float], float], t: float, z: complex, h: float) -> complex:
+    """One RK4 step of dg/dt = 2/(g - W_t), with ``at`` sampling W."""
+    k1 = 2.0 / (z - at(t))
+    k2 = 2.0 / (z + h / 2 * k1 - at(t + h / 2))
+    k3 = 2.0 / (z + h / 2 * k2 - at(t + h / 2))
+    k4 = 2.0 / (z + h * k3 - at(t + h))
     return z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -147,18 +155,19 @@ def forward_map(w: DrivingFunction, z: complex, T: float) -> complex:
         raise ValueError("driver not defined up to the requested time")
     if T == 0:
         return z
+    at = w.interpolant()
     swallow_radius = 10.0 * math.sqrt(w.dt)
     tol = 1e-10
     t = 0.0
     g = complex(z)
     h = w.dt
     while t < T:
-        if abs(g - w.at(t)) < swallow_radius:
+        if abs(g - at(t)) < swallow_radius:
             raise SwallowedError(t, g)
         h = min(h, T - t)
-        coarse = _rk4_step(w, t, g, h)
-        half = _rk4_step(w, t, g, h / 2)
-        fine = _rk4_step(w, t + h / 2, half, h / 2)
+        coarse = _rk4_step(at, t, g, h)
+        half = _rk4_step(at, t, g, h / 2)
+        fine = _rk4_step(at, t + h / 2, half, h / 2)
         if abs(fine - coarse) > tol and h > 1e-12:
             h /= 2
             continue
@@ -166,7 +175,7 @@ def forward_map(w: DrivingFunction, z: complex, T: float) -> complex:
         t += h
         if h < w.dt:
             h *= 2  # relax the step back toward the grid scale
-    if abs(g - w.at(T)) < swallow_radius:
+    if abs(g - at(T)) < swallow_radius:
         raise SwallowedError(T, g)
     return g
 

@@ -370,7 +370,6 @@ def suite_kac(cfg: RunConfig) -> Report:
     report = Report("kac", cfg.params())
     level = cfg.level
     charge = central_charge(cfg.kappa)
-    det = kac_determinant_at(level, charge)
 
     def golden_level_two() -> tuple[bool, str]:
         matrix = gram_matrix(2)
@@ -397,6 +396,7 @@ def suite_kac(cfg: RunConfig) -> Report:
         report.run("level-2 matrix and factorization", golden_level_two)
 
     def roots() -> tuple[bool, str]:
+        det = kac_determinant_at(level, charge)
         candidates = sorted(
             {
                 kac_lambda(r, s, cfg.kappa)

@@ -19,9 +19,11 @@ Representation (packed exponent vectors, after Monagan & Pearce, CASC 2007):
   numerators have gcd 1.  That form is canonical, so equality and hashing
   compare it directly, and the arithmetic loops touch only ints.
 
-A first-order operator ``sum_g d_g * d/dg + s`` acts through ``first_order``
-in one pass: every product term goes into one accumulator over one common
-denominator, and only the result is reduced.
+A first-order operator ``sum_g d_g * d/dg + s`` acts through ``first_order``,
+and a sum of products ``sum a * b`` is taken by ``sum_of_products``, each in
+one pass: every product term goes into one accumulator over one common
+denominator, and only the result is reduced.  One schoolbook loop serves
+both and ``__mul__``.
 
 Only the public boundary decodes (memoized per monomial): ``terms()``, the
 constant accessors, ``generators()``, the grading queries, ``evaluate``,
@@ -39,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd, lcm
 from operator import or_
 from typing import Callable, Collection, Iterable, Iterator, Mapping
@@ -212,9 +215,9 @@ def _mono_lex_key(mono: int) -> tuple:
     return (-_mono_degree(decoded), tuple((k, x, -e) for k, x, e in decoded))
 
 
-def _reach(nums: dict[int, int]) -> int:
+def _reach(monos: Iterable[int]) -> int:
     """Bitwise OR of the monomials: each field bounds that generator's exponents."""
-    return reduce(or_, nums, 0)
+    return reduce(or_, monos, 0)
 
 
 def _check_products(short: Iterable[int], long: Collection[int]) -> None:
@@ -222,6 +225,46 @@ def _check_products(short: Iterable[int], long: Collection[int]) -> None:
         for m2 in long:
             if (m1 + m2) & _GUARD:
                 raise OverflowError(f"product exponent exceeds the packed field {MAX_EXPONENT}")
+
+
+def _products(
+    left: Collection[tuple[int, int]],
+    right: dict[int, int],
+    bound: int,
+    out: dict[int, int] | None = None,
+) -> dict[int, int]:
+    """The schoolbook product loop: c1 * c2 summed at m1 + m2 over every term pair.
+
+    ``left`` holds (monomial, numerator) pairs.  ``bound`` is a reach of the
+    left monomials plus a reach of the right ones (each field at least the
+    largest exponent there); where it sets a guard bit every pair is checked
+    exactly, and an exponent past ``MAX_EXPONENT`` raises ``OverflowError``.
+    The sums go into ``out`` (zero sums are dropped), or into a fresh dict
+    when ``out`` is None.
+    """
+    if bound & _GUARD:
+        _check_products((m for m, _ in left), right)
+    items = right.items()
+    if out is None:
+        if len(left) == 1:
+            # one term meets distinct monomials, so nothing collides
+            ((m1, c1),) = left
+            return {m1 + m2: c1 * c2 for m2, c2 in items}
+        out = {}
+    get = out.get
+    for m1, c1 in left:
+        for m2, c2 in items:
+            mono = m1 + m2
+            acc = get(mono)
+            if acc is None:
+                out[mono] = c1 * c2
+            else:
+                acc += c1 * c2
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+    return out
 
 
 def _poly(nums: dict[int, int], den: int) -> "CoeffPoly":
@@ -401,34 +444,13 @@ class CoeffPoly:
             return NotImplemented
         if not self._nums or not other._nums:
             return CoeffPoly.zero()
-        # schoolbook product; monomial product is one int addition
         shorter, longer = self._nums, other._nums
         if len(shorter) > len(longer):
             shorter, longer = longer, shorter
-        den = self._den * other._den
-        if len(shorter) == 1:
-            ((m1, c1),) = shorter.items()
-            if (m1 + _reach(longer)) & _GUARD:
-                _check_products(shorter, longer)
-            return _reduced({m1 + m2: c1 * c2 for m2, c2 in longer.items()}, den)
-        if (_reach(shorter) + _reach(longer)) & _GUARD:
-            _check_products(shorter, longer)
-        out: dict[int, int] = {}
-        get = out.get
-        items = longer.items()
-        for m1, c1 in shorter.items():
-            for m2, c2 in items:
-                mono = m1 + m2
-                acc = get(mono)
-                if acc is None:
-                    out[mono] = c1 * c2
-                else:
-                    acc += c1 * c2
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        del out[mono]
-        return _reduced(out, den)
+        return _reduced(
+            _products(shorter.items(), longer, _reach(shorter) + _reach(longer)),
+            self._den * other._den,
+        )
 
     __rmul__ = __mul__
 
@@ -487,8 +509,7 @@ class CoeffPoly:
         if not parts:
             return CoeffPoly.zero()
         scale = lcm(*(coeff._den for _, coeff in parts))
-        out: dict[int, int] = {}
-        get = out.get
+        out = None
         for shift, coeff in parts:
             factor = scale // coeff._den
             if shift < 0:
@@ -501,22 +522,37 @@ class CoeffPoly:
                     if exp:
                         sources.append((m - unit, c * exp * factor))
             # the derivative only lowers exponents, so self's reach bounds it
-            if (reach + _reach(coeff._nums)) & _GUARD:
-                _check_products([m for m, _ in sources], coeff._nums)
-            items = coeff._nums.items()
-            for m1, c1 in sources:
-                for m2, c2 in items:
-                    mono = m1 + m2
-                    acc = get(mono)
-                    if acc is None:
-                        out[mono] = c1 * c2
-                    else:
-                        acc += c1 * c2
-                        if acc:
-                            out[mono] = acc
-                        else:
-                            del out[mono]
+            out = _products(sources, coeff._nums, reach + _reach(coeff._nums), out)
         return _reduced(out, self._den * scale)
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple["CoeffPoly", "CoeffPoly"]]) -> "CoeffPoly":
+        """The sum of a * b over the (a, b) pairs, in one accumulator.
+
+        Pairs with a zero factor are skipped.  Every term product of every
+        pair is summed into one ``{monomial: int}`` dict over one common
+        denominator, the lcm of the pair denominators ``a._den * b._den``
+        (each pair's numerators are rescaled to it), and only the result is
+        reduced: one reduction in all, where ``sum(a * b)`` makes a product
+        and a sum per pair and reduces each.  An exponent past
+        ``MAX_EXPONENT`` raises ``OverflowError`` as in ``__mul__``.
+        """
+        live = [(x, y) for x, y in pairs if x._nums and y._nums]
+        if not live:
+            return CoeffPoly.zero()
+        den = lcm(*(x._den * y._den for x, y in live))
+        # one bound for every pair: the reach of all first factors plus that of all second ones
+        bound = _reach(chain.from_iterable(x._nums for x, _ in live))
+        bound += _reach(chain.from_iterable(y._nums for _, y in live))
+        out = None
+        for x, y in live:
+            shorter, longer = x._nums, y._nums
+            if len(shorter) > len(longer):
+                shorter, longer = longer, shorter
+            factor = den // (x._den * y._den)
+            left = shorter.items() if factor == 1 else [(m, c * factor) for m, c in shorter.items()]
+            out = _products(left, longer, bound, out)
+        return _reduced(out, den)
 
     def substitute(self, assignment: Mapping[Generator, Fraction | int]) -> "CoeffPoly":
         """Eliminate the assigned generators by exact evaluation.

@@ -20,6 +20,10 @@ The propagation rules, for inputs with valuations ``v`` and orders ``o``:
 * derivative: ``o - 1``
 * composition ``f(g)`` (``g`` with valuation >= 1): ``min(o_f * v_g, o_g)``
 * reversion: same order as the input
+
+A product coefficient, and each step of the inverse's recursion, is one
+Cauchy sum taken by ``CoeffPoly.sum_of_products``: one accumulator and one
+reduction per output coefficient, not a product and a sum per term pair.
 """
 
 from __future__ import annotations
@@ -207,15 +211,14 @@ class LaurentSeries:
             width = min(width, order - v1 - v2)
         if width <= 0:
             return LaurentSeries.zero(order)
-        acc: list[CoeffPoly] = [CoeffPoly.zero()] * width
-        for i, c1 in enumerate(self.coeffs):
-            if c1.is_zero:
-                continue
-            jmax = min(len(other.coeffs), width - i)
-            for j in range(jmax):
-                c2 = other.coeffs[j]
-                if not c2.is_zero:
-                    acc[i + j] = acc[i + j] + c1 * c2
+        left, right = self.coeffs, other.coeffs
+        acc = [
+            CoeffPoly.sum_of_products(
+                (left[i], right[k - i])
+                for i in range(max(0, k - len(right) + 1), min(k + 1, len(left)))
+            )
+            for k in range(width)
+        ]
         return LaurentSeries(v1 + v2, acc, order)
 
     def shift(self, k: int) -> "LaurentSeries":
@@ -260,11 +263,7 @@ class LaurentSeries:
                 u[i] = c * inv_lead
         w: list[CoeffPoly] = [CoeffPoly.one()] + [CoeffPoly.zero()] * (rel_len - 1)
         for k in range(1, rel_len):
-            acc = CoeffPoly.zero()
-            for j in range(1, k + 1):
-                if not u[j].is_zero and not w[k - j].is_zero:
-                    acc = acc + u[j] * w[k - j]
-            w[k] = -acc
+            w[k] = -CoeffPoly.sum_of_products((u[j], w[k - j]) for j in range(1, k + 1))
         return LaurentSeries(-v, [c * inv_lead for c in w], order)
 
     def __pow__(self, n: int) -> "LaurentSeries":

@@ -204,6 +204,26 @@ def test_exception_inside_a_check_becomes_a_failure(runner, monkeypatch):
     assert any(c["status"] == "pass" for c in report["checks"])
 
 
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_failing_kac_determinant_is_a_check_failure(runner, monkeypatch, error):
+    from loopcft import reports
+
+    def broken(level, charge):
+        raise error("determinant unavailable")
+
+    monkeypatch.setattr(reports, "kac_determinant_at", broken)
+    result = runner.invoke(main, ["kac", "--level", "3"])
+    # a ValueError here is a program fault, not a usage error (exit 2)
+    assert result.exit_code == 1
+    report = _report(result)
+    assert report["schema_version"] == "1"
+    assert report["overall"] == "fail"
+    check = next(c for c in report["checks"] if c["name"] == "degenerate roots at level 3")
+    assert check["status"] == "fail"
+    assert check["witness"] == f"{error.__name__}: determinant unavailable"
+    assert any(c["status"] == "pass" for c in report["checks"])
+
+
 # ---------------------------------------------------------------------------
 # report schema and determinism
 # ---------------------------------------------------------------------------

@@ -114,6 +114,87 @@ def test_forward_map_concatenation():
     assert abs(direct - relayed) < 1e-8
 
 
+# The forward map as it read before the driver was bound once per call: every
+# RK4 stage and swallow check went through DrivingFunction.at.  Kept as the
+# oracle for bit-identical results.
+
+
+def _reference_rk4_step(w, t, z, h):
+    def f(s, y):
+        return 2.0 / (y - w.at(s))
+
+    k1 = f(t, z)
+    k2 = f(t + h / 2, z + h / 2 * k1)
+    k3 = f(t + h / 2, z + h / 2 * k2)
+    k4 = f(t + h, z + h * k3)
+    return z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _reference_forward_map(w, z, T):
+    if T < 0:
+        raise ValueError("target time must be nonnegative")
+    if T > w.total_time + 1e-12:
+        raise ValueError("driver not defined up to the requested time")
+    if T == 0:
+        return z
+    swallow_radius = 10.0 * math.sqrt(w.dt)
+    tol = 1e-10
+    t = 0.0
+    g = complex(z)
+    h = w.dt
+    while t < T:
+        if abs(g - w.at(t)) < swallow_radius:
+            raise SwallowedError(t, g)
+        h = min(h, T - t)
+        coarse = _reference_rk4_step(w, t, g, h)
+        half = _reference_rk4_step(w, t, g, h / 2)
+        fine = _reference_rk4_step(w, t + h / 2, half, h / 2)
+        if abs(fine - coarse) > tol and h > 1e-12:
+            h /= 2
+            continue
+        g = fine
+        t += h
+        if h < w.dt:
+            h *= 2
+    if abs(g - w.at(T)) < swallow_radius:
+        raise SwallowedError(T, g)
+    return g
+
+
+def _hex(z):
+    return (float.hex(z.real), float.hex(z.imag))
+
+
+def _outcome(fn, w, z, T):
+    try:
+        return ("ok", _hex(fn(w, z, T)))
+    except SwallowedError as err:
+        return ("swallowed", float.hex(err.time), _hex(err.point))
+
+
+FORWARD_MAP_DRIVERS = {
+    "zero": DrivingFunction.zero(1.0, 1e-3),
+    "constant": DrivingFunction(dt=1e-3, values=(0.0,) + (0.75,) * 1000),
+    "sle": sample_sle_driving(3.0, 1.0, 1e-3, 11),
+    "sle-coarse": sample_sle_driving(4.0, 1.0, 1e-2, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_MAP_DRIVERS))
+@pytest.mark.parametrize("z", [3j, 0.4 + 1.5j, -2.0 + 0.3j, 50.0 + 1.0j])
+@pytest.mark.parametrize("T", [0.0, 0.37, 1.0])
+def test_forward_map_matches_reference_bitwise(name, z, T):
+    w = FORWARD_MAP_DRIVERS[name]
+    assert _outcome(forward_map, w, z, T) == _outcome(_reference_forward_map, w, z, T)
+
+
+def test_forward_map_swallow_matches_reference_bitwise():
+    w = DrivingFunction.zero(1.0, 1e-3)
+    got = _outcome(forward_map, w, 2j, 1.0)
+    assert got[0] == "swallowed"
+    assert got == _outcome(_reference_forward_map, w, 2j, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for the exact symbolic kernel (polynomials, series, partitions, linalg)."""
 
+import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcft.operators import _coefficient_map, _welding_build
 from loopcft.symbolic import (
     CC,
     LAMBDA,
@@ -290,6 +293,89 @@ def test_floats_are_rejected_as_coefficients():
         A1 * 0.5  # noqa: B018 - the multiplication itself must raise
 
 
+# -- the fused sum of products against the sequential sum and against sympy
+
+
+def _sequential_sum_of_products(pairs):
+    total = CoeffPoly.zero()
+    for x, y in pairs:
+        total = total + x * y
+    return total
+
+
+@st.composite
+def product_pairs(draw):
+    """Pairs with unrelated denominators, zero factors and cancelling partners."""
+    pairs = draw(st.lists(st.tuples(mixed_polys(), mixed_polys()), max_size=6))
+    if pairs and draw(st.booleans()):
+        x, y = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.insert(draw(st.integers(0, len(pairs))), (-x, y))
+    return pairs
+
+
+@given(product_pairs())
+@settings(max_examples=100, deadline=None)
+def test_sum_of_products_matches_the_sequential_sum(pairs):
+    got = CoeffPoly.sum_of_products(pairs)
+    want = _sequential_sum_of_products(pairs)
+    assert got == want
+    assert got.canonical_text() == want.canonical_text()
+    assert CoeffPoly.sum_of_products(iter(pairs)) == want
+
+
+@given(product_pairs())
+@settings(max_examples=60, deadline=None)
+def test_sum_of_products_matches_sympy_ring(pairs):
+    pytest.importorskip("sympy")
+    R, QQ, gens = _sympy_ring()
+    want = R.zero
+    for x, y in pairs:
+        want += _to_sympy(x, R, QQ, gens) * _to_sympy(y, R, QQ, gens)
+    assert _to_sympy(CoeffPoly.sum_of_products(pairs), R, QQ, gens) == want
+
+
+def test_sum_of_products_edge_cases():
+    zero = CoeffPoly.zero()
+    assert CoeffPoly.sum_of_products([]) == zero
+    assert CoeffPoly.sum_of_products([(zero, A1), (A2, zero), (zero, zero)]) == zero
+    x = Fraction(1, 6) * A1 - Fraction(2, 9) * AB1 * LAM
+    y = Fraction(3, 4) * A2 + Fraction(5, 7)
+    # pairs that cancel to zero leave the canonical zero, denominator 1
+    cancel = CoeffPoly.sum_of_products([(x, y), (y, -x)])
+    assert cancel == zero and cancel.canonical_text() == "0/1"
+    assert hash(cancel) == hash(zero)
+    # a partial cancellation reduces the denominator of the survivors
+    got = CoeffPoly.sum_of_products([(x, y), (-x, y - Fraction(5, 7)), (A3, Fraction(1, 35) * C)])
+    assert got == Fraction(5, 7) * x + Fraction(1, 35) * A3 * C
+    assert CoeffPoly.sum_of_products([(x, CoeffPoly.one())]) == x
+    # the overflow pre-check bound spans all pairs: here it trips although no
+    # single pair passes MAX_EXPONENT, so the exact check must let it through
+    high = CoeffPoly.generator(a(1), MAX_EXPONENT - 2)
+    assert CoeffPoly.sum_of_products([(high, A2), (A3, high)]) == high * A2 + A3 * high
+
+
+@given(
+    st.integers(1, MAX_EXPONENT),
+    st.integers(1, MAX_EXPONENT),
+    st.sampled_from([a(1), abar(4), LAMBDA, CC]),
+    mixed_fractions_st,
+    st.booleans(),
+)
+@settings(deadline=None)
+def test_sum_of_products_raises_exactly_when_the_sequential_sum_does(e1, e2, gen, x, first):
+    near = (CoeffPoly.generator(gen, e1) * Fraction(1, 3), CoeffPoly.generator(gen, e2) + A2 * x)
+    safe = (A1 * Fraction(2, 5) + 1, AB1 - Fraction(1, 7))
+    pairs = [near, safe] if first else [safe, near]
+    try:
+        want = _sequential_sum_of_products(pairs)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            CoeffPoly.sum_of_products(pairs)
+    else:
+        assert e1 + e2 <= MAX_EXPONENT
+        assert CoeffPoly.sum_of_products(pairs) == want
+
+
 # ---------------------------------------------------------------------------
 # Laurent series
 # ---------------------------------------------------------------------------
@@ -436,6 +522,177 @@ def test_series_derivative_product_rule(f, g):
     lhs = (f * g).derivative()
     rhs = f.derivative() * g + f * g.derivative()
     assert lhs.agrees_with(rhs)
+
+
+# -- the fused series products against the loops they replaced
+#
+# The bodies below are LaurentSeries.__mul__ and the recursion of inverse as
+# they read before each output coefficient became one sum_of_products: a
+# product and a sum per term pair.  Patched into LaurentSeries, they are the
+# oracle for __mul__, inverse, __pow__ and the welding build.
+
+
+def _reference_series_mul(self, other):
+    if not isinstance(other, LaurentSeries):
+        return NotImplemented
+    v1 = self.valuation if not self.is_zero else self.order
+    v2 = other.valuation if not other.is_zero else other.order
+    order = min(self.order + v2, other.order + v1)
+    if self.is_zero or other.is_zero:
+        return LaurentSeries.zero(order)
+    width = len(self.coeffs) + len(other.coeffs) - 1
+    if order != math.inf:
+        width = min(width, order - v1 - v2)
+    if width <= 0:
+        return LaurentSeries.zero(order)
+    acc = [CoeffPoly.zero()] * width
+    for i, c1 in enumerate(self.coeffs):
+        if c1.is_zero:
+            continue
+        jmax = min(len(other.coeffs), width - i)
+        for j in range(jmax):
+            c2 = other.coeffs[j]
+            if not c2.is_zero:
+                acc[i + j] = acc[i + j] + c1 * c2
+    return LaurentSeries(v1 + v2, acc, order)
+
+
+def _reference_series_inverse(self):
+    if self.is_zero:
+        raise ZeroDivisionError("inverse of the zero series")
+    lead = self.coeffs[0]
+    try:
+        lead_const = lead.as_constant()
+    except ValueError:
+        raise ValueError(
+            "series inverse needs a rational-constant leading coefficient, got "
+            f"{lead.canonical_text()}"
+        ) from None
+    if lead_const == 0:
+        raise ZeroDivisionError("inverse of a series with zero leading coefficient")
+    v = self.valuation
+    inv_lead = Fraction(1) / lead_const
+    if len(self.coeffs) == 1:
+        order = self.order if self.order == math.inf else self.order - 2 * v
+        return LaurentSeries.monomial(-v, inv_lead, None if order == math.inf else order)
+    if self.order == math.inf:
+        raise InsufficientOrderError(
+            "inverse of an exact multi-term series is an infinite object; truncate() first"
+        )
+    order = self.order - 2 * v
+    rel_len = int(self.order - v)
+    if rel_len <= 0:
+        return LaurentSeries.zero(order)
+    u = [CoeffPoly.zero()] * rel_len
+    for i, c in enumerate(self.coeffs[1:], start=1):
+        if i < rel_len:
+            u[i] = c * inv_lead
+    w = [CoeffPoly.one()] + [CoeffPoly.zero()] * (rel_len - 1)
+    for k in range(1, rel_len):
+        acc = CoeffPoly.zero()
+        for j in range(1, k + 1):
+            if not u[j].is_zero and not w[k - j].is_zero:
+                acc = acc + u[j] * w[k - j]
+        w[k] = -acc
+    return LaurentSeries(-v, [c * inv_lead for c in w], order)
+
+
+@contextmanager
+def old_series_loops():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LaurentSeries, "__mul__", _reference_series_mul)
+        patch.setattr(LaurentSeries, "inverse", _reference_series_inverse)
+        yield
+
+
+def _with_old_loops(thunk):
+    with old_series_loops():
+        return thunk()
+
+
+def _series_text(f):
+    return (f.valuation, f.order, [c.canonical_text() for c in f.coeffs])
+
+
+@pytest.mark.parametrize("order", range(6, 19))
+def test_fused_powers_of_the_coefficient_map_match_the_old_loops(order):
+    F = _coefficient_map(order)
+    exponents = range(-8, 9)
+    got = [_series_text(F**k) for k in exponents]
+    assert got == _with_old_loops(lambda: [_series_text(F**k) for k in exponents])
+    assert _series_text(F.inverse()) == _with_old_loops(lambda: _series_text(F.inverse()))
+    Fp = F.derivative()
+    assert _series_text(Fp * Fp.inverse()) == _with_old_loops(lambda: _series_text(Fp * Fp.inverse()))
+
+
+SERIES_CASES = {
+    "exact": LaurentSeries(-1, [Fraction(2, 3), A1, 0, Fraction(-5, 4) * AB1 * LAM], None),
+    "exact-monomial": LaurentSeries.monomial(2, Fraction(-7, 9) * C, None),
+    "truncated": LaurentSeries(0, [Fraction(3, 7), Fraction(1, 6) * A1, A2 - Fraction(2, 5), 0, C], 6),
+    "truncated-low": LaurentSeries(-2, [Fraction(-4, 5), Fraction(1, 3) * A1 * AB1, Fraction(1, 8)], 2),
+    "zero-exact": LaurentSeries.zero(),
+    "zero-truncated": LaurentSeries.zero(3),
+    "rational-lead": LaurentSeries(1, [Fraction(5, 11), Fraction(1, 4) * A1, Fraction(2, 9) * A2, A1 * A1], 7),
+}
+
+
+@pytest.mark.parametrize("left", sorted(SERIES_CASES))
+@pytest.mark.parametrize("right", sorted(SERIES_CASES))
+def test_fused_series_products_match_the_old_loop(left, right):
+    f, g = SERIES_CASES[left], SERIES_CASES[right]
+    assert _series_text(f * g) == _with_old_loops(lambda: _series_text(f * g))
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_CASES))
+def test_fused_inverse_and_powers_match_the_old_loops(name):
+    f = SERIES_CASES[name]
+
+    def outcomes():
+        results = []
+        for k in range(-4, 5):
+            try:
+                results.append(_series_text(f**k))
+            except (ValueError, ZeroDivisionError) as err:
+                results.append(type(err).__name__)
+        return results
+
+    assert outcomes() == _with_old_loops(outcomes)
+
+
+@st.composite
+def poly_series(draw):
+    """Truncated series with mixed-denominator polynomial coefficients and a rational lead."""
+    val = draw(st.integers(-2, 2))
+    lead = draw(mixed_fractions_st.filter(bool))
+    rest = draw(st.lists(mixed_polys(max_terms=3), max_size=4))
+    margin = draw(st.integers(0, 2))
+    return LaurentSeries(val, [lead] + rest, val + len(rest) + 1 + margin)
+
+
+@given(poly_series(), poly_series())
+@settings(max_examples=60, deadline=None)
+def test_fused_series_arithmetic_matches_the_old_loops_on_random_series(f, g):
+    got = [_series_text(f * g), _series_text(f.inverse()), _series_text(g**-2 * f**3)]
+    with old_series_loops():
+        want = [_series_text(f * g), _series_text(f.inverse()), _series_text(g**-2 * f**3)]
+    assert got == want
+
+
+def test_fused_welding_build_matches_the_old_loops():
+    def builds():
+        texts = {}
+        for n in range(-8, 9):
+            data = _welding_build(n, 10, None)
+            texts[n] = (
+                data["order"],
+                data["e_coeff"].canonical_text(),
+                data["id_coeff"].canonical_text(),
+                {m: c.canonical_text() for m, c in data["d_a"].items()},
+                {m: c.canonical_text() for m, c in data["d_abar"].items()},
+            )
+        return texts
+
+    assert builds() == _with_old_loops(builds)
 
 
 # ---------------------------------------------------------------------------
