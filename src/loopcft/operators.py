@@ -237,6 +237,32 @@ class ModeOperator:
             provenance=self.provenance + "|mirrored",
         )
 
+    def restricted(self, max_index: int) -> "ModeOperator":
+        """The same operator on the narrower window of indices up to ``max_index``.
+
+        Coefficients on that window do not depend on the build window, so a
+        welding-route operator restricted to w is ``==`` to a direct build at w.
+        The scalar memo is shared: the Euler and identity parts are unchanged.
+        """
+        if max_index > self.max_index:
+            raise OperatorWindowError(
+                f"cannot widen mode {self.mode} operator from {self.max_index} to {max_index}"
+            )
+        if max_index == self.max_index:
+            return self
+        op = ModeOperator(
+            mode=self.mode,
+            bar=self.bar,
+            max_index=max_index,
+            e_coeff=self.e_coeff,
+            id_coeff=self.id_coeff,
+            d_a={m: c for m, c in self.d_a.items() if m <= max_index},
+            d_abar={m: c for m, c in self.d_abar.items() if m <= max_index},
+            provenance=f"{self.provenance}|restricted({max_index})",
+        )
+        object.__setattr__(op, "_scalars", self._scalars)
+        return op
+
     def agrees_with(self, other: "ModeOperator") -> bool:
         """Coefficient equality on the shared index window."""
         if (self.mode, self.bar) != (other.mode, other.bar):
@@ -276,32 +302,46 @@ def _welding_build(n: int, max_index: int, series_order: int | None) -> dict:
     -[w^(-n-2)] S(G) of :func:`vartheta` by the Schwarzian chain rule
     (S(G) o F) F'^2 = -S(F): substituting w = F(z) turns
     res_w[S(G) w^(n+1)] into res_z[S(F) q].  No series reversion is needed.
+
+    Budget: with w = max_index, every output reads coefficients below
+    z^(w+2) only (d_a[m] and d_abar[m] are the z^(m+1) coefficients of the
+    two motions, gamma is [z^1] q, theta needs q below z^0), so each
+    product's operands are cut to that bound.  q below z^(w+2) takes
+    F^(n+1) below z^(w+2), which for n >= 0 needs F only below z^(w+2-n),
+    and 1/F' below z^(w+1-n); F/F' - z takes F below z^(w+2) and 1/F'
+    below z^(w+1); the final products with F' take F' below z^w, because
+    their other factors start at z^2.  F itself is built to order
+    w + 2 + max(0, -n).  The reported ``order`` stays the nominal series
+    order, ``series_order`` or w + |n| + 2 by default.
     """
     order = series_order if series_order is not None else max_index + abs(n) + 2
     if order < max_index + 2:
         raise ValueError("series order too small for the requested index window")
-    F = _coefficient_map(order)
+    top = max_index + 2
+    F = _coefficient_map(min(order, top + max(0, -n)))
     Fp = F.derivative()
     Fp_inv = Fp.inverse()
-    q = -(F ** (n + 1)) * Fp_inv
+    if n >= 0:
+        # F^(n+1) starts at z^(n+1); keep F's lead even when nothing else is read
+        power = F.truncate(max(2, top - n)) ** (n + 1)
+        q = -(power * Fp_inv.truncate(max(1, top - 1 - n)))
+    else:
+        q = -(F ** (n + 1)) * Fp_inv
     gamma = q.coefficient(1) * Fraction(1, 2)
-    s_minus_z = F * Fp_inv - LaurentSeries.monomial(1, 1, None)
+    s_minus_z = F.truncate(top) * Fp_inv.truncate(top - 1) - LaurentSeries.monomial(1, 1, None)
+    Fp_low = Fp.truncate(max_index)
 
     q_high = LaurentSeries.from_coefficients(
-        [(p, c) for p, c in q.coefficients() if p >= 2], q.order
+        [(p, c) for p, c in q.coefficients() if 2 <= p < top], min(q.order, top)
     )
-    f_dot = (q_high - s_minus_z.scale(gamma)) * Fp
+    f_dot = (q_high - s_minus_z.scale(gamma)) * Fp_low
 
     # exterior side: the reflected low part of q, bar-conjugated
-    u_pairs = []
-    i = 2
-    while 2 - i >= q.valuation:
-        low = q.swap_bars().coefficient(2 - i)
-        if not low.is_zero:
-            u_pairs.append((i, -low))
-        i += 1
-    u_high = LaurentSeries.from_coefficients(u_pairs, None)
-    m_ring = (s_minus_z.scale(-gamma.swap_bars()) - u_high) * Fp
+    u_high = LaurentSeries.from_coefficients(
+        [(2 - p, -c.swap_bars()) for p, c in q.coefficients() if p <= 0 and 2 - p < top],
+        None,
+    )
+    m_ring = (s_minus_z.scale(-gamma.swap_bars()) - u_high) * Fp_low
 
     d_a = {}
     d_abar = {}
@@ -515,7 +555,11 @@ def commutator_defect(
 
 
 class OperatorTable:
-    """Cache of mode operators for both families at a fixed index window."""
+    """Cache of mode operators for both families at a fixed index window.
+
+    A table made by :meth:`restricted` builds nothing itself: it takes each
+    operator from the wider table it was cut from and restricts it.
+    """
 
     def __init__(self, max_index: int = 8, route: str = "welding"):
         if max_index < 1:
@@ -523,14 +567,30 @@ class OperatorTable:
         self.max_index = max_index
         self.route = route
         self._cache: dict[tuple[int, bool], ModeOperator] = {}
+        self._parent: OperatorTable | None = None
+
+    def restricted(self, max_index: int) -> "OperatorTable":
+        """A table at the narrower window ``max_index`` sharing this table's builds.
+
+        Each operator it hands out is this table's operator restricted to
+        the window (see :meth:`ModeOperator.restricted`), so one build per
+        mode serves every window up to this table's.
+        """
+        if max_index > self.max_index:
+            raise OperatorWindowError(
+                f"cannot widen a window-{self.max_index} table to {max_index}"
+            )
+        view = OperatorTable(max_index=max_index, route=self.route)
+        view._parent = self
+        return view
 
     def mode_operator(self, n: int, bar: bool = False) -> ModeOperator:
         key = (n, bar)
         if key not in self._cache:
-            if not bar and (n, True) in self._cache:
-                op = self._cache[(n, True)].mirrored()
-            elif bar and (n, False) in self._cache:
-                op = self._cache[(n, False)].mirrored()
+            if self._parent is not None:
+                op = self._parent.mode_operator(n, bar).restricted(self.max_index)
+            elif (n, not bar) in self._cache:
+                op = self._cache[(n, not bar)].mirrored()
             else:
                 route = self.route if (self.route != "recursion" or n <= -3) else "welding"
                 op = build_mode_operator(n, bar=bar, max_index=self.max_index, route=route)

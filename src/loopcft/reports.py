@@ -104,6 +104,8 @@ class RunConfig:
     conformal weight (the ``lambda`` key in config files, since ``lambda``
     is not a valid attribute name).  Counts are ints (not bools) and must
     be non-negative; tolerances and ``loewner_dt`` are finite and positive.
+    ``loewner_dt`` must also tile the Loewner suite's unit horizon: 1/dt is
+    an integer to within 1e-9, so every driver grid ends at exactly t = 1.
     A value of the wrong type is a ``ValueError``, as is one out of range.
     """
 
@@ -155,6 +157,11 @@ class RunConfig:
             raise ValueError("kappa must be positive")
         if self.loewner_seeds < 2:
             raise ValueError("loewner_seeds must be at least 2")
+        steps = 1 / self.loewner_dt
+        if abs(steps - round(steps)) > 1e-9:
+            raise ValueError(
+                f"loewner_dt must divide the horizon 1 into whole steps, but 1/dt = {steps!r}"
+            )
 
     @classmethod
     def from_sources(
@@ -288,18 +295,28 @@ def _describe_defect(defect: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _suite_table(window: int, shared: OperatorTable | None) -> OperatorTable:
+    """A fresh table at the suite's window, or ``shared`` narrowed to it."""
+    if shared is None:
+        return OperatorTable(max_index=window)
+    return shared.restricted(window)
+
+
+def _commutators_window(cfg: RunConfig) -> int:
+    return max(cfg.max_degree + cfg.max_mode, 2 * cfg.max_mode + 1, 2)
+
+
 def suite_commutators(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
     """Bracket relations as operator identities on a shared index window.
 
     An operator-level identity on window ``w`` certifies the action on every
     state of index at most ``w``, so the window is sized to cover all
-    monomials up to ``max_degree``.
+    monomials up to ``max_degree``.  A ``table`` passed in is narrowed to
+    that window, as in every suite that takes one.
     """
     report = Report("verify-commutators", cfg.params())
     k = cfg.max_mode
-    if table is None:
-        table = OperatorTable(max_index=max(cfg.max_degree + k, 2 * k + 1, 2))
-    window = table.max_index - k
+    table = _suite_table(_commutators_window(cfg), table)
 
     def bracket(n: int, m: int, mixed: bool) -> Callable[[], tuple[bool, str]]:
         def check() -> tuple[bool, str]:
@@ -329,11 +346,15 @@ def suite_commutators(cfg: RunConfig, table: OperatorTable | None = None) -> Rep
     return report
 
 
-def suite_gram(cfg: RunConfig) -> Report:
+def _gram_window(cfg: RunConfig) -> int:
+    return max(2 * cfg.level, 2)
+
+
+def suite_gram(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
     """Geometric pairings against the abstract Shapovalov form."""
     report = Report("gram", cfg.params())
     top = cfg.level
-    table = OperatorTable(max_index=max(2 * top, 2))
+    table = _suite_table(_gram_window(cfg), table)
 
     def level_match(n: int) -> Callable[[], tuple[bool, str]]:
         def check() -> tuple[bool, str]:
@@ -428,10 +449,14 @@ def suite_kac(cfg: RunConfig) -> Report:
     return report
 
 
-def suite_singular(cfg: RunConfig) -> Report:
+def _singular_window(cfg: RunConfig) -> int:
+    return max(2 * cfg.level, 6)
+
+
+def suite_singular(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
     """Null combinations along the degenerate-weight families."""
     report = Report("singular", cfg.params())
-    table = OperatorTable(max_index=max(2 * cfg.level, 6))
+    table = _suite_table(_singular_window(cfg), table)
     charge = central_charge(cfg.kappa)
 
     def level_two_family(r: int, s: int) -> Callable[[], tuple[bool, str]]:
@@ -472,11 +497,15 @@ def suite_singular(cfg: RunConfig) -> Report:
     return report
 
 
-def suite_operators(cfg: RunConfig) -> Report:
+def _operators_window(cfg: RunConfig) -> int:
+    return max(cfg.max_degree + cfg.max_mode, 8)
+
+
+def suite_operators(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
     """Shape constraints and scalar anchors of the mode operators."""
     report = Report("operators", cfg.params())
     k = cfg.max_mode
-    table = OperatorTable(max_index=max(cfg.max_degree + k, 8))
+    table = _suite_table(_operators_window(cfg), table)
 
     def shape(n: int) -> Callable[[], tuple[bool, str]]:
         def check() -> tuple[bool, str]:
@@ -671,19 +700,25 @@ def suite_loewner(cfg: RunConfig) -> Report:
 
 
 def report_all(cfg: RunConfig) -> Report:
-    """Every suite in sequence, merged into one flat report."""
+    """Every suite in sequence, merged into one flat report.
+
+    The suites that use operators share one table at the widest of their
+    windows, and each narrows it to its own, so every mode is built once.
+    """
     merged = Report("all", cfg.params())
-    for suite in (
-        suite_commutators,
-        suite_gram,
-        suite_kac,
-        suite_singular,
-        suite_operators,
-        suite_reflection,
-        suite_bubble,
-        suite_loewner,
+    windows = (_commutators_window, _gram_window, _singular_window, _operators_window)
+    table = OperatorTable(max_index=max(window(cfg) for window in windows))
+    for suite, shares_table in (
+        (suite_commutators, True),
+        (suite_gram, True),
+        (suite_kac, False),
+        (suite_singular, True),
+        (suite_operators, True),
+        (suite_reflection, False),
+        (suite_bubble, False),
+        (suite_loewner, False),
     ):
-        part = suite(cfg)
+        part = suite(cfg, table) if shares_table else suite(cfg)
         for check in part.checks:
             merged.checks.append(replace(check, name=f"{part.suite}: {check.name}"))
     return merged

@@ -17,6 +17,7 @@ The propagation rules, for inputs with valuations ``v`` and orders ``o``:
 * mul: ``min(o1 + v2, o2 + v1)``
 * multiplicative inverse: ``o - 2v`` (lowest coefficient must be a nonzero
   rational constant, the only units of the coefficient ring)
+* power ``k``: ``o + (k-1)v``, for negative ``k`` too (same unit rule)
 * derivative: ``o - 1``
 * composition ``f(g)`` (``g`` with valuation >= 1): ``min(o_f * v_g, o_g)``
 * reversion: same order as the input
@@ -24,6 +25,12 @@ The propagation rules, for inputs with valuations ``v`` and orders ``o``:
 A product coefficient, and each step of the inverse's recursion, is one
 Cauchy sum taken by ``CoeffPoly.sum_of_products``: one accumulator and one
 reduction per output coefficient, not a product and a sum per term pair.
+
+Positive powers are taken by binary powering.  A negative power k of
+``lead * z^v * (1 + u)`` comes from J.C.P. Miller's recurrence (Knuth,
+TAOCP Vol. 2, 4.7): g = (1 + u)^k has g_0 = 1 and
+g_j = (1/j) sum_{i=1..j} ((k+1) i - j) u_i g_{j-i}, one fused sum per
+coefficient, with no inverse and no series product.
 """
 
 from __future__ import annotations
@@ -228,8 +235,8 @@ class LaurentSeries:
             return LaurentSeries.zero(order)
         return LaurentSeries(self.valuation + k, self.coeffs, order)
 
-    def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse; the lowest coefficient must be a rational unit."""
+    def _unit_lead(self) -> Fraction:
+        """The lowest coefficient as a nonzero rational; raises if it is not a unit."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero series")
         lead = self.coeffs[0]
@@ -242,6 +249,11 @@ class LaurentSeries:
             ) from None
         if lead_const == 0:
             raise ZeroDivisionError("inverse of a series with zero leading coefficient")
+        return lead_const
+
+    def inverse(self) -> "LaurentSeries":
+        """Multiplicative inverse; the lowest coefficient must be a rational unit."""
+        lead_const = self._unit_lead()
         v = self.valuation
         inv_lead = Fraction(1) / lead_const
         if len(self.coeffs) == 1:
@@ -269,10 +281,11 @@ class LaurentSeries:
     def __pow__(self, n: int) -> "LaurentSeries":
         if n == 0:
             return LaurentSeries.monomial(0, 1, None)
+        if n < 0:
+            return self._negative_power(n)
         # binary powering: by the mul rule x^k has order o + (k-1)v however
         # its factors are grouped, so this matches the sequential product
-        base = self if n > 0 else self.inverse()
-        n = abs(n)
+        base = self
         result = None
         while True:
             if n & 1:
@@ -281,6 +294,40 @@ class LaurentSeries:
             if not n:
                 return result
             base = base * base
+
+    def _negative_power(self, alpha: int) -> "LaurentSeries":
+        """self**alpha for alpha < 0 by J.C.P. Miller's power recurrence.
+
+        With self = lead * z^v * (1 + sum u_j z^j), the series g = (1 + u)**alpha
+        satisfies g_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) u_j g_{k-j}, one
+        fused sum per coefficient.  Valuation v * alpha and order
+        o + (alpha - 1) v are those of the inverse raised to -alpha.
+        """
+        lead_const = self._unit_lead()
+        v = self.valuation
+        scale = lead_const**alpha
+        if len(self.coeffs) == 1:
+            # a pure monomial powers exactly
+            order = self.order if self.order == _INF else self.order + (alpha - 1) * v
+            return LaurentSeries.monomial(alpha * v, scale, None if order == _INF else order)
+        if self.order == _INF:
+            raise InsufficientOrderError(
+                "inverse of an exact multi-term series is an infinite object; truncate() first"
+            )
+        order = self.order + (alpha - 1) * v
+        rel_len = int(self.order - v)  # reliable relative powers 0 .. rel_len-1
+        u = [c * (1 / lead_const) for c in self.coeffs[1:rel_len]]
+        g: list[CoeffPoly] = [CoeffPoly.one()]
+        for k in range(1, rel_len):
+            total = CoeffPoly.sum_of_products(
+                (u[j - 1] * ((alpha + 1) * j - k), g[k - j])
+                for j in range(1, min(k, len(u)) + 1)
+                if (alpha + 1) * j != k
+            )
+            g.append(total * Fraction(1, k))
+        if scale != 1:
+            g = [c * scale for c in g]
+        return LaurentSeries(alpha * v, g, order)
 
     def derivative(self) -> "LaurentSeries":
         order = self.order if self.order == _INF else self.order - 1

@@ -164,6 +164,37 @@ def test_config_fields_are_type_checked():
     assert RunConfig(tol_bubble=1, seed=0).tol_bubble == 1
 
 
+@pytest.mark.parametrize("dt", ["0.0003", "0.0007", "0.3"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_off_grid_loewner_dt_is_usage_error(runner, tmp_path, dt, source):
+    # 1/dt must be a whole number of steps: 0.0003 used to stop the grid at
+    # t = 0.9999 (exit 1) and 0.0007 to sample W at t = 1.0003 (exit 0)
+    if source == "flag":
+        argv = ["loewner-demo", "--dt", dt, "--seeds", "2"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"loewner_dt": float(dt), "loewner_seeds": 2}))
+        argv = ["--config", str(path), "loewner-demo"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert "loewner_dt must divide the horizon 1 into whole steps" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_grid_loewner_dt_is_accepted(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    for dt in (1e-3, 1e-4):
+        path.write_text(json.dumps({"loewner_dt": dt}))
+        assert RunConfig.from_sources(path).loewner_dt == dt
+        assert RunConfig.from_sources(None, {"loewner_dt": dt}).loewner_dt == dt
+    result = runner.invoke(main, ["loewner-demo", "--dt", "1e-3", "--seeds", "2"])
+    assert result.exit_code == 0
+    # dt = 0.5 tiles the horizon in two steps; the coarse grid fails its checks
+    result = runner.invoke(main, ["loewner-demo", "--dt", "0.5", "--seeds", "2"])
+    assert result.exit_code == 1
+    assert _report(result)["overall"] == "fail"
+
+
 @pytest.mark.parametrize("command", ["loewner-demo", "report-all"])
 def test_single_loewner_seed_is_usage_error(runner, command):
     # the variance check divides by seeds - 1

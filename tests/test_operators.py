@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcft import operators
 from loopcft.operators import (
     ModeOperator,
     OperatorTable,
@@ -30,7 +31,10 @@ from loopcft.operators import (
     vacuum_state,
     varpi,
     vartheta,
+    _coefficient_map,
+    _welding_build,
 )
+from loopcft.reports import RunConfig, report_all
 from loopcft.symbolic import (
     CC,
     LAMBDA,
@@ -791,3 +795,152 @@ def test_constraint_solver_recovers_mode_minus_two():
     for m in range(1, window + 1):
         assert recovered_a[m] == target.d_a.get(m, ZERO), ("a", m)
         assert recovered_abar[m] == target.d_abar.get(m, ZERO), ("abar", m)
+
+
+# ---------------------------------------------------------------------------
+# the welding build against its dense form
+# ---------------------------------------------------------------------------
+
+
+# The build as it was before each product's operands were cut to the
+# z^(max_index + 2) budget: every series runs to the nominal order and
+# negative powers go through inverse() and binary powering.
+def _reference_welding_build(n: int, max_index: int, series_order: int | None) -> dict:
+    """P/Q/E/id data for mode n from the welded deformation fields.
+
+    The deformation of the coefficient body induced by the vector field
+    ``-z**(n+1) d/dz`` acting on the welding splits into an interior motion
+    (the P-part plus the Euler term) and a reflected exterior motion (the
+    Q-part); both are read off exactly as series coefficients.
+
+    The central coefficient is theta_n = -res_z[S(F) q] with
+    ``q = -F**(n+1) / F'``.  It equals the inverse-map form
+    -[w^(-n-2)] S(G) of :func:`vartheta` by the Schwarzian chain rule
+    (S(G) o F) F'^2 = -S(F): substituting w = F(z) turns
+    res_w[S(G) w^(n+1)] into res_z[S(F) q].  No series reversion is needed.
+    """
+    order = series_order if series_order is not None else max_index + abs(n) + 2
+    if order < max_index + 2:
+        raise ValueError("series order too small for the requested index window")
+    F = _coefficient_map(order)
+    Fp = F.derivative()
+    Fp_inv = Fp.inverse()
+    q = -(F ** (n + 1)) * Fp_inv
+    gamma = q.coefficient(1) * Fraction(1, 2)
+    s_minus_z = F * Fp_inv - LaurentSeries.monomial(1, 1, None)
+
+    q_high = LaurentSeries.from_coefficients(
+        [(p, c) for p, c in q.coefficients() if p >= 2], q.order
+    )
+    f_dot = (q_high - s_minus_z.scale(gamma)) * Fp
+
+    # exterior side: the reflected low part of q, bar-conjugated
+    u_pairs = []
+    i = 2
+    while 2 - i >= q.valuation:
+        low = q.swap_bars().coefficient(2 - i)
+        if not low.is_zero:
+            u_pairs.append((i, -low))
+        i += 1
+    u_high = LaurentSeries.from_coefficients(u_pairs, None)
+    m_ring = (s_minus_z.scale(-gamma.swap_bars()) - u_high) * Fp
+
+    d_a = {}
+    d_abar = {}
+    for m in range(1, max_index + 1):
+        p_coeff = f_dot.coefficient(m + 1)
+        if not p_coeff.is_zero:
+            d_a[m] = p_coeff
+        q_coeff = m_ring.coefficient(m + 1).swap_bars()
+        if not q_coeff.is_zero:
+            d_abar[m] = q_coeff
+
+    # only the z^-1 term of S(F) q is needed: S(F) through z^(-n-2), q through z^-1
+    if n <= -2:
+        theta = -(schwarzian(F.truncate(2 - n)) * q.truncate(0)).residue()
+    else:
+        theta = ZERO
+    return {
+        "e_coeff": -gamma,
+        "id_coeff": -(C * theta) * Fraction(1, 12) if not theta.is_zero else ZERO,
+        "d_a": d_a,
+        "d_abar": d_abar,
+        "order": order,
+    }
+
+
+@pytest.mark.parametrize("window", range(1, 13))
+def test_welding_build_matches_the_dense_build(window):
+    for n in range(-8, 9):
+        assert _welding_build(n, window, None) == _reference_welding_build(n, window, None), n
+
+
+@pytest.mark.parametrize("window", range(1, 7))
+def test_welding_build_ignores_series_order_padding(window):
+    # the dense build is slow at padded orders, so the padded sweep stops at window 6
+    for n in range(-8, 9):
+        padded = window + abs(n) + 6
+        assert _welding_build(n, window, padded) == _reference_welding_build(n, window, padded), n
+
+
+def test_welding_build_refuses_too_small_a_series_order():
+    with pytest.raises(ValueError, match="series order too small"):
+        _welding_build(2, 6, 7)
+
+
+# ---------------------------------------------------------------------------
+# restricted tables
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    return OperatorTable(max_index=12)
+
+
+@pytest.mark.parametrize("window", range(1, 12))
+def test_restricted_table_hands_out_direct_builds(wide_table, window):
+    narrow = wide_table.restricted(window)
+    assert narrow.max_index == window
+    for n in range(-8, 9):
+        direct = build_mode_operator(n, max_index=window)
+        assert narrow.L(n) == direct, n
+        assert narrow.Lbar(n) == direct.mirrored(), n
+        assert max(narrow.L(n).d_a, default=0) <= window
+        assert max(narrow.Lbar(n).d_abar, default=0) <= window
+
+
+def test_restricted_table_shares_builds_and_keeps_its_window(wide_table, monkeypatch):
+    for n in (-3, 2):
+        wide_table.L(n)
+    built = []
+    monkeypatch.setattr(
+        operators, "_welding_build", lambda *args: built.append(args) or _welding_build(*args)
+    )
+    narrow = wide_table.restricted(4)
+    narrow.L(-3)
+    narrow.Lbar(2)
+    assert built == []
+    beyond = fresh_state(CoeffPoly.generator(a(5)))
+    with pytest.raises(OperatorWindowError):
+        narrow.L(-3).apply(beyond)
+    with pytest.raises(OperatorWindowError):
+        narrow.Lbar(2).derive(CoeffPoly.generator(abar(5)))
+    assert not wide_table.L(-3).apply(beyond).is_zero
+    with pytest.raises(OperatorWindowError):
+        wide_table.restricted(13)
+    with pytest.raises(OperatorWindowError):
+        narrow.L(-3).restricted(5)
+
+
+def test_report_all_builds_each_mode_once(monkeypatch):
+    built = []
+
+    def counting(n, max_index, series_order):
+        built.append(n)
+        return _welding_build(n, max_index, series_order)
+
+    monkeypatch.setattr(operators, "_welding_build", counting)
+    report = report_all(RunConfig(level=5, max_mode=4, loewner_seeds=2))
+    assert report.overall == "pass"
+    assert sorted(built) == list(range(-7, 8))

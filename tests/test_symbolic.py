@@ -625,6 +625,60 @@ def test_fused_powers_of_the_coefficient_map_match_the_old_loops(order):
     assert _series_text(Fp * Fp.inverse()) == _with_old_loops(lambda: _series_text(Fp * Fp.inverse()))
 
 
+def _sequential_negative_powers(f, depth):
+    """f**-1, ..., f**-depth: the inverse, multiplied by itself one factor at a time."""
+    base = f.inverse()
+    powers = [base]
+    for _ in range(depth - 1):
+        powers.append(powers[-1] * base)
+    return powers
+
+
+def _miller_cases(order):
+    """The coefficient map, the same with lead 2, and a mixed-denominator variant.
+
+    The sequential oracle is slow on the mixed variant (26 s at order 19), so
+    that one stops at order 11.
+    """
+    F = _coefficient_map(order)
+    rest = list(F.coeffs[1:])
+    cases = {"map": F, "lead-2": LaurentSeries(1, [CoeffPoly.constant(2)] + rest, order)}
+    if order <= 11:
+        mixed = [c * Fraction(j + 2, 3 * j + 1) for j, c in enumerate(rest, start=1)]
+        mixed[0] = mixed[0] + AB1 * Fraction(-5, 6) + Fraction(1, 7)
+        lead = CoeffPoly.constant(Fraction(-3, 4))
+        cases["mixed"] = LaurentSeries(1, [lead] + mixed, order)
+    return cases
+
+
+@pytest.mark.parametrize("order", range(6, 20))
+def test_miller_negative_powers_match_sequential_products(order):
+    for name, f in _miller_cases(order).items():
+        for k, want in enumerate(_sequential_negative_powers(f, 8), start=1):
+            got = f**-k
+            assert (got.valuation, got.order) == (want.valuation, want.order) == (-k, order - k - 1)
+            assert _series_text(got) == _series_text(want), (name, -k)
+
+
+def test_negative_powers_refuse_what_the_inverse_refuses():
+    non_unit = LaurentSeries(0, [A1, Fraction(1)], 4)
+    message = r"^series inverse needs a rational-constant leading coefficient, got 1/1\*a1$"
+    with pytest.raises(ValueError, match=message):
+        non_unit.inverse()
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match=message):
+            non_unit**k
+        with pytest.raises(ZeroDivisionError):
+            LaurentSeries.zero(5) ** k
+        with pytest.raises(InsufficientOrderError):
+            LaurentSeries(0, [Fraction(1), A1], None) ** k
+    mono = LaurentSeries.monomial(2, Fraction(3, 5), 6)
+    assert mono**-3 == _sequential_negative_powers(mono, 3)[-1]
+    assert LaurentSeries.monomial(2, Fraction(3, 5)) ** -2 == LaurentSeries.monomial(
+        -4, Fraction(25, 9)
+    )
+
+
 SERIES_CASES = {
     "exact": LaurentSeries(-1, [Fraction(2, 3), A1, 0, Fraction(-5, 4) * AB1 * LAM], None),
     "exact-monomial": LaurentSeries.monomial(2, Fraction(-7, 9) * C, None),
