@@ -13,11 +13,11 @@ from pathlib import Path
 
 import click
 
-from . import __version__, cache as cache_store, loewner
+from . import __version__, cache as cache_store
 from .reports import (
     Report,
     RunConfig,
-    loewner_kappa,
+    kappa_in_range,
     report_all,
     suite_bubble,
     suite_commutators,
@@ -172,10 +172,13 @@ def bubble_limit(ctx, csv_path, output):
 @click.pass_context
 def loewner_demo(ctx, kappa, dt, seeds, seed, trace_csv, output):
     """Forward map, trace, and driver statistics for the random driver."""
+    # numpy loads here, before _config, so start-up rather than the run pays for it
+    from . import loewner
+
     cfg = _config(ctx, kappa=kappa, loewner_dt=dt, loewner_seeds=seeds, seed=seed)
     if trace_csv is not None:
         try:
-            kappa = loewner_kappa(cfg)
+            kappa = kappa_in_range(cfg, "loewner")
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
         driver = loewner.sample_sle_driving(kappa, 1.0, cfg.loewner_dt, seed=cfg.seed)
@@ -194,6 +197,9 @@ def loewner_demo(ctx, kappa, dt, seeds, seed, trace_csv, output):
 @click.pass_context
 def report_all_cmd(ctx, level, max_mode, seeds, seed, kappa, output):
     """Every suite back to back, merged into one report."""
+    # numpy loads here, before _config, so start-up rather than the run pays for it
+    from . import loewner  # noqa: F401
+
     cfg = _config(
         ctx, level=level, max_mode=max_mode, loewner_seeds=seeds, seed=seed, kappa=kappa
     )

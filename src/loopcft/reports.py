@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from . import loewner, spectral
+from . import spectral
 from .operators import (
     OperatorTable,
     commutator_defect,
@@ -55,7 +55,7 @@ __all__ = [
     "suite_reflection",
     "suite_bubble",
     "suite_loewner",
-    "loewner_kappa",
+    "kappa_in_range",
     "report_all",
 ]
 
@@ -563,12 +563,19 @@ def suite_operators(cfg: RunConfig, table: OperatorTable | None = None) -> Repor
     return report
 
 
+def kappa_in_range(cfg: RunConfig, suite: str) -> float:
+    """The config's kappa as a float, checked against the range (0, 4] that
+    the reflection and Loewner suites accept; ``suite`` names the one asking."""
+    kappa = float(cfg.kappa)
+    if not 0 < kappa <= 4:
+        raise ValueError(f"{suite} suite needs kappa in (0, 4]")
+    return kappa
+
+
 def suite_reflection(cfg: RunConfig) -> Report:
     """Reflection coefficient normalization, poles, and spot values."""
     report = Report("reflection", cfg.params())
-    kappa = float(cfg.kappa)
-    if not 0 < kappa <= 4:
-        raise ValueError("reflection suite needs kappa in (0, 4]")
+    kappa = kappa_in_range(cfg, "reflection")
 
     def unit_at_zero() -> tuple[bool, str]:
         value = spectral.reflection_R(0.0, kappa)
@@ -647,18 +654,12 @@ def suite_bubble(
     return report
 
 
-def loewner_kappa(cfg: RunConfig) -> float:
-    """The config's kappa as a float, checked against the Loewner suite's range."""
-    kappa = float(cfg.kappa)
-    if not 0 < kappa <= 4:
-        raise ValueError("loewner suite needs kappa in (0, 4]")
-    return kappa
-
-
 def suite_loewner(cfg: RunConfig) -> Report:
     """Forward map, trace tip, and driver variance for the random driver."""
+    from . import loewner
+
     report = Report("loewner-demo", cfg.params())
-    kappa = loewner_kappa(cfg)
+    kappa = kappa_in_range(cfg, "loewner")
     dt = cfg.loewner_dt
 
     def closed_form_map() -> tuple[bool, str]:
@@ -704,7 +705,10 @@ def report_all(cfg: RunConfig) -> Report:
 
     The suites that use operators share one table at the widest of their
     windows, and each narrows it to its own, so every mode is built once.
+    Kappa is checked against the reflection suite's range before any suite
+    runs, so an out-of-range kappa costs no exact work.
     """
+    kappa_in_range(cfg, "reflection")
     merged = Report("all", cfg.params())
     windows = (_commutators_window, _gram_window, _singular_window, _operators_window)
     table = OperatorTable(max_index=max(window(cfg) for window in windows))

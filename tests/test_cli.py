@@ -1,13 +1,19 @@
-"""CLI contract: exit codes, report schema, config precedence, cache store."""
+"""CLI contract: exit codes, report schema, config precedence, where numpy
+loads, cache store."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import loopcft
 from loopcft import cache as cache_store
 from loopcft.cli import main
 from loopcft.operators import OperatorTable
@@ -216,6 +222,18 @@ def test_loewner_kappa_out_of_range_is_usage_error(runner, tmp_path, csv):
     assert not target.exists()
 
 
+def test_report_all_rejects_kappa_before_any_suite(runner, monkeypatch):
+    from loopcft import reports
+
+    calls = []
+    monkeypatch.setattr(reports, "suite_commutators", lambda *args: calls.append(args))
+    result = runner.invoke(main, ["report-all", "--kappa", "5"])
+    assert result.exit_code == 2
+    assert "reflection suite needs kappa in (0, 4]" in result.output
+    assert "Traceback" not in result.output
+    assert calls == []
+
+
 def test_exception_inside_a_check_becomes_a_failure(runner, monkeypatch):
     from loopcft import reports
 
@@ -346,6 +364,73 @@ def test_config_file_feeds_flags_and_flags_win(runner, tmp_path):
     report = _report(result)
     assert report["params"]["kappa"] == "3/1"  # flag beats file
     assert report["params"]["level"] == 2  # file beats default
+
+
+# ---------------------------------------------------------------------------
+# where numpy loads
+# ---------------------------------------------------------------------------
+
+
+def _fresh_python(script: str):
+    """Run ``script`` in a new interpreter that imports this loopcft; parse its stdout."""
+    package_root = str(Path(loopcft.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": package_root + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_exact_subcommands_run_without_numpy(tmp_path):
+    # numpy is blocked outright: any import of it raises ImportError
+    commands = [
+        ["verify-commutators", "--max-mode", "2", "--max-degree", "2"],
+        ["gram", "--level", "2"],
+        ["kac", "--level", "3"],
+        ["singular", "--level", "2"],
+        ["operators", "--max-mode", "2", "--max-degree", "2"],
+        ["reflection"],
+        ["bubble-limit"],
+        ["cache", "stat", "--cache-dir", str(tmp_path)],
+    ]
+    results = _fresh_python(f"""
+        import json, sys
+        sys.modules["numpy"] = None
+        from click.testing import CliRunner
+        from loopcft.cli import main
+        runs = [CliRunner().invoke(main, argv) for argv in {commands!r}]
+        json.dump([[run.exit_code, run.stdout] for run in runs], sys.stdout)
+    """)
+    assert len(results) == len(commands)
+    for argv, (code, output) in zip(commands, results):
+        assert code == 0, (argv, output)
+        assert json.loads(output)["schema_version"] == "1", argv
+
+
+@pytest.mark.parametrize("command", ["loewner-demo", "report-all"])
+def test_loewner_commands_load_numpy_before_config_returns(command):
+    # the same wrapper as perfbench/child.py, which marks the end of start-up there
+    loaded = _fresh_python(f"""
+        import json, sys
+        from click.testing import CliRunner
+        from loopcft import cli
+        assert "numpy" not in sys.modules
+        parse = cli._config
+        loaded = []
+
+        def parse_then_stop(ctx, **overrides):
+            parse(ctx, **overrides)
+            loaded.append("numpy" in sys.modules)
+            ctx.exit(0)
+
+        cli._config = parse_then_stop
+        assert CliRunner().invoke(cli.main, [{command!r}]).exit_code == 0
+        json.dump(loaded, sys.stdout)
+    """)
+    assert loaded == [True]
 
 
 # ---------------------------------------------------------------------------
