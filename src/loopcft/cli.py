@@ -8,12 +8,11 @@ seed any knob; explicit flags always win over the file.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import click
 
-from . import __version__, cache as cache_store
+from . import __version__
 from .reports import (
     Report,
     RunConfig,
@@ -45,7 +44,10 @@ def _emit(ctx: click.Context, report: Report, output: str | None) -> None:
     if destination in (None, "-"):
         click.echo(text)
     else:
-        Path(destination).write_text(text + "\n")
+        try:
+            Path(destination).write_text(text + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write the report: {exc}") from exc
         click.echo(f"report written to {destination}", err=True)
     ctx.exit(0 if report.overall == "pass" else 1)
 
@@ -56,12 +58,6 @@ def _run_suite(ctx: click.Context, suite, cfg: RunConfig, output: str | None, **
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     _emit(ctx, report, output)
-
-
-def _resolve_cache_dir(cfg: RunConfig) -> Path:
-    if cfg.cache_dir is not None:
-        return Path(cfg.cache_dir)
-    return cache_store.default_cache_dir()
 
 
 _output_option = click.option(
@@ -182,7 +178,10 @@ def loewner_demo(ctx, kappa, dt, seeds, seed, trace_csv, output):
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
         driver = loewner.sample_sle_driving(kappa, 1.0, cfg.loewner_dt, seed=cfg.seed)
-        rows = loewner.write_trace_csv(trace_csv, loewner.trace(driver))
+        try:
+            rows = loewner.write_trace_csv(trace_csv, loewner.trace(driver))
+        except OSError as exc:
+            raise click.UsageError(f"cannot write the trace: {exc}") from exc
         click.echo(f"trace with {rows} points written to {trace_csv}", err=True)
     _run_suite(ctx, suite_loewner, cfg, output)
 
@@ -204,68 +203,6 @@ def report_all_cmd(ctx, level, max_mode, seeds, seed, kappa, output):
         ctx, level=level, max_mode=max_mode, loewner_seeds=seeds, seed=seed, kappa=kappa
     )
     _run_suite(ctx, report_all, cfg, output)
-
-
-@main.group("cache")
-def cache_group():
-    """Manage the persistent operator-table store."""
-
-
-@cache_group.command("warm")
-@click.option("--max-mode", type=int, default=4, show_default=True)
-@click.option("--max-index", type=int, default=8, show_default=True)
-@click.option("--cache-dir", default=None, help="Store location (else env or default).")
-@click.pass_context
-def cache_warm(ctx, max_mode, max_index, cache_dir):
-    """Build both operator families and persist them, cross-checking old files."""
-    cfg = _config(ctx, cache_dir=cache_dir)
-    directory = _resolve_cache_dir(cfg)
-    report = Report("cache-warm", {**cfg.params(), "max_index": max_index})
-
-    def warm() -> tuple[bool, str]:
-        try:
-            _, info = cache_store.warm(directory, max_mode, max_index)
-        except cache_store.CacheConsistencyError as exc:
-            return False, str(exc)
-        checked = ", ".join(info["checked_against"]) or "nothing"
-        return True, (
-            f"modes {info['modes'][0]}..{info['modes'][-1]} at max_index "
-            f"{max_index} -> {info['path']}; cross-checked against {checked}"
-        )
-
-    report.run(f"warm modes |n| <= {max_mode}", warm)
-    _emit(ctx, report, None)
-
-
-@cache_group.command("clear")
-@click.option("--cache-dir", default=None, help="Store location (else env or default).")
-@click.pass_context
-def cache_clear(ctx, cache_dir):
-    """Delete every cache file."""
-    cfg = _config(ctx, cache_dir=cache_dir)
-    directory = _resolve_cache_dir(cfg)
-    report = Report("cache-clear", cfg.params())
-    report.run(
-        "clear", lambda: (True, f"removed {cache_store.clear(directory)} files")
-    )
-    _emit(ctx, report, None)
-
-
-@cache_group.command("stat")
-@click.option("--cache-dir", default=None, help="Store location (else env or default).")
-@click.pass_context
-def cache_stat(ctx, cache_dir):
-    """Summarize each cache file: modes, window, size."""
-    cfg = _config(ctx, cache_dir=cache_dir)
-    directory = _resolve_cache_dir(cfg)
-    report = Report("cache-stat", cfg.params())
-
-    def stat() -> tuple[bool, str]:
-        entries = cache_store.stat(directory)
-        return True, json.dumps(entries, sort_keys=True)
-
-    report.run(f"stat {directory}", stat)
-    _emit(ctx, report, None)
 
 
 if __name__ == "__main__":

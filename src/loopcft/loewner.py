@@ -21,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "sample_sle_driving",
     "sle_driving_endpoint",
     "write_trace_csv",
-    "write_driving_csv",
 ]
 
 
@@ -276,12 +275,3 @@ def write_trace_csv(path: str | Path, tr: Trace) -> int:
         for k, point in enumerate(tr.points):
             writer.writerow([repr(k * tr.dt), repr(point.real), repr(point.imag)])
     return len(tr.points)
-
-
-def write_driving_csv(path: str | Path, w: DrivingFunction) -> int:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "W"])
-        for k, value in enumerate(w.values):
-            writer.writerow([repr(k * w.dt), repr(value)])
-    return len(w.values)

@@ -603,12 +603,6 @@ class OperatorTable:
     def Lbar(self, n: int) -> ModeOperator:
         return self.mode_operator(n, bar=True)
 
-    def insert(self, op: ModeOperator) -> None:
-        """Adopt an externally built operator (e.g. loaded from a cache file)."""
-        if op.max_index < self.max_index:
-            raise OperatorWindowError("operator narrower than the table window")
-        self._cache[(op.mode, op.bar)] = op
-
 
 # ---------------------------------------------------------------------------
 # module states and pairings

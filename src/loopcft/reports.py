@@ -121,7 +121,8 @@ class RunConfig:
     tol_loewner: float = 1e-6
     loewner_dt: float = 1e-3
     loewner_seeds: int = 2000
-    cache_dir: str | None = None
+    # always None; kept because perfbench/digests.json pins "cache_dir": null in params
+    cache_dir: None = None
     output: str = "-"
 
     # JSON config files use ``lambda`` for the weight knob.
@@ -133,7 +134,7 @@ class RunConfig:
         ("kappa", Fraction),
         ("weight", (Fraction, type(None))),
         ("output", str),
-        ("cache_dir", (str, type(None))),
+        ("cache_dir", type(None)),
     )
 
     def __post_init__(self):

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import cmath
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .symbolic import CC, LAMBDA, invert, partition_count
-from .verma import central_charge, gram_entry, gram_matrix
+from .verma import central_charge, gram_matrix
 
 __all__ = [
     "PoleProximityError",
@@ -36,11 +35,7 @@ __all__ = [
     "poisson_annulus_covariant",
     "bubble_mass",
     "bubble_mass_limit",
-    "SpectralQuery",
-    "spectral_rhs",
-    "spectral_query_json",
     "gram_inverse_check",
-    "write_u_scan",
     "write_bubble_limit_scan",
 ]
 
@@ -304,63 +299,8 @@ def bubble_mass_limit(amap: AnnulusMap, theta: float, theta_p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spectral right-hand side and exact Gram checks
+# exact Gram checks
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralQuery:
-    """One evaluation request for the diagonalized pairing."""
-
-    weight: complex
-    kappa: float
-    k: tuple[int, ...] = ()
-    k_prime: tuple[int, ...] = ()
-    ktilde: tuple[int, ...] = ()
-    ktilde_prime: tuple[int, ...] = ()
-
-
-def _gram_value(
-    parts: tuple[int, ...],
-    parts_p: tuple[int, ...],
-    weight: complex,
-    charge: float,
-) -> complex:
-    poly = gram_entry(tuple(sorted(parts)), tuple(sorted(parts_p)))
-    return poly.evaluate({LAMBDA: weight, CC: charge})
-
-
-def spectral_rhs(query: SpectralQuery) -> complex:
-    """R(lambda) times the two Shapovalov Gram factors, or 0 across levels."""
-    if sum(query.k) != sum(query.k_prime) or sum(query.ktilde) != sum(
-        query.ktilde_prime
-    ):
-        return 0j
-    kappa = query.kappa
-    charge = float(central_charge(Fraction(kappa)))
-    r_val = complex(reflection_R(query.weight, kappa))
-    left = _gram_value(query.k, query.k_prime, query.weight, charge)
-    right = _gram_value(query.ktilde, query.ktilde_prime, query.weight, charge)
-    return r_val * left * right
-
-
-def spectral_query_json(query: SpectralQuery) -> str:
-    """Evaluate a query and serialize the result (pole reported, not raised)."""
-    payload: dict = {
-        "lambda": {"re": complex(query.weight).real, "im": complex(query.weight).imag},
-        "kappa": query.kappa,
-        "k": list(query.k),
-        "k_prime": list(query.k_prime),
-        "ktilde": list(query.ktilde),
-        "ktilde_prime": list(query.ktilde_prime),
-    }
-    try:
-        value = spectral_rhs(query)
-    except PoleProximityError as exc:
-        payload["pole"] = str(exc)
-    else:
-        payload["value"] = {"re": value.real, "im": value.imag}
-    return json.dumps(payload, sort_keys=True)
 
 
 def gram_inverse_check(
@@ -405,20 +345,8 @@ def gram_inverse_check(
 
 
 # ---------------------------------------------------------------------------
-# grid scans
+# convergence scan
 # ---------------------------------------------------------------------------
-
-
-def write_u_scan(path: str | Path, qs: Iterable[float]) -> int:
-    """CSV of (q, U(q)) rows; returns the number of rows written."""
-    count = 0
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["q", "U"])
-        for q in qs:
-            writer.writerow([repr(q), repr(U_of_q(q))])
-            count += 1
-    return count
 
 
 def write_bubble_limit_scan(

@@ -19,7 +19,6 @@ routine consumes that computation.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -56,7 +55,6 @@ __all__ = [
     "kac_lambda",
     "central_charge",
     "cocycle",
-    "gram_report",
 ]
 
 _ZERO = CoeffPoly.zero()
@@ -322,9 +320,8 @@ def kac_determinant(level: int) -> CoeffPoly:
 
     Laplace expansion along the rows, memoized over the 2^p(N) column
     subsets: on a 2-vCPU x86-64 VM about 0.8 s at level 6 and past 120 s at
-    level 7.  It is the charge-free oracle for :func:`kac_determinant_at`
-    and the determinant of :func:`gram_report` without ``kappa``; every
-    caller that fixes the charge uses :func:`kac_determinant_at`.
+    level 7.  It is the charge-free oracle for :func:`kac_determinant_at`;
+    every caller that fixes the charge uses :func:`kac_determinant_at`.
     """
     size = len(partitions_of(level))
     return _laplace(level, frozenset(range(size)))
@@ -413,31 +410,3 @@ def _interpolate(values: list[int]) -> list[int]:
         coeffs[0] += weight * diffs[k]
         weight *= k
     return coeffs
-
-
-def gram_report(level: int, kappa: Fraction | None = None) -> str:
-    """A JSON document describing the Gram form at one level.
-
-    With ``kappa`` the charge is specialized along the family and entries are
-    reported both symbolically in the weight and factored data where known.
-    """
-    basis = [list(p.parts) for p in partitions_of(level)]
-    matrix = gram_matrix(level)
-    if kappa is None:
-        entries = [[e.canonical_text() for e in row] for row in matrix]
-        det_text = kac_determinant(level).canonical_text()
-    else:
-        charge = central_charge(kappa)
-        assignment = {CC: charge}
-        entries = [
-            [e.substitute(assignment).canonical_text() for e in row] for row in matrix
-        ]
-        det_text = kac_determinant_at(level, charge).canonical_text()
-    payload = {
-        "level": level,
-        "basis": basis,
-        "entries": entries,
-        "determinant": det_text,
-        "kappa": None if kappa is None else str(kappa),
-    }
-    return json.dumps(payload, indent=2)

@@ -1,7 +1,6 @@
 """CLI contract: exit codes, report schema, config precedence, where numpy
-loads, cache store."""
+loads."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -14,11 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 import loopcft
-from loopcft import cache as cache_store
 from loopcft.cli import main
-from loopcft.operators import OperatorTable
 from loopcft.reports import RunConfig, parse_rational
-from loopcft.symbolic import CoeffPoly
 
 
 @pytest.fixture()
@@ -112,8 +108,10 @@ def test_reflection_at_pole_exits_one(runner):
 
 
 def test_unknown_command_is_usage_error(runner):
-    result = runner.invoke(main, ["no-such-thing"])
-    assert result.exit_code == 2
+    for command in ("no-such-thing", "cache"):
+        result = runner.invoke(main, [command])
+        assert result.exit_code == 2, command
+        assert f"No such command '{command}'" in result.output
 
 
 def test_bad_rational_is_usage_error(runner):
@@ -139,6 +137,7 @@ def test_missing_config_file_is_usage_error(runner):
         ({"level": True}, "level must be an integer"),
         ({"tol_bubble": "x"}, "tol_bubble must be a number"),
         ({"seed": -1}, "seed must be non-negative"),
+        ({"cache_dir": "/tmp/x"}, "cache_dir has the wrong type"),
     ],
 )
 @pytest.mark.parametrize("command", ["kac", "report-all"])
@@ -161,6 +160,7 @@ def test_config_fields_are_type_checked():
         {"weight": "1/2"},
         {"output": None},
         {"cache_dir": 7},
+        {"cache_dir": "/tmp/x"},
     ):
         with pytest.raises(ValueError):
             RunConfig(**bad)
@@ -356,6 +356,23 @@ def test_output_flag_writes_file(runner, tmp_path):
     assert report["suite"] == "kac"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kac", "--level", "2", "--output"],
+        ["loewner-demo", "--seeds", "2", "--trace-csv"],
+    ],
+    ids=["output", "trace-csv"],
+)
+def test_unwritable_output_path_is_usage_error(runner, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    result = runner.invoke(main, argv + [str(target)])
+    assert result.exit_code == 2
+    assert str(target) in result.output
+    assert "Traceback" not in result.output
+    assert not target.parent.exists()
+
+
 def test_config_file_feeds_flags_and_flags_win(runner, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"kappa": "8/3", "level": 2}))
@@ -384,7 +401,7 @@ def _fresh_python(script: str):
     return json.loads(done.stdout)
 
 
-def test_exact_subcommands_run_without_numpy(tmp_path):
+def test_exact_subcommands_run_without_numpy():
     # numpy is blocked outright: any import of it raises ImportError
     commands = [
         ["verify-commutators", "--max-mode", "2", "--max-degree", "2"],
@@ -394,7 +411,6 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
         ["operators", "--max-mode", "2", "--max-degree", "2"],
         ["reflection"],
         ["bubble-limit"],
-        ["cache", "stat", "--cache-dir", str(tmp_path)],
     ]
     results = _fresh_python(f"""
         import json, sys
@@ -431,139 +447,3 @@ def test_loewner_commands_load_numpy_before_config_returns(command):
         json.dump(loaded, sys.stdout)
     """)
     assert loaded == [True]
-
-
-# ---------------------------------------------------------------------------
-# cache store
-# ---------------------------------------------------------------------------
-
-
-def test_cache_round_trip_is_exact(tmp_path):
-    table, info = cache_store.warm(tmp_path, max_mode=2, max_index=5)
-    assert Path(info["path"]).exists()
-    loaded = cache_store.load_operator_table(tmp_path, 5)
-    assert loaded is not None
-    for n in range(-2, 3):
-        for bar in (False, True):
-            got = loaded.mode_operator(n, bar)
-            want = table.mode_operator(n, bar)
-            assert got.e_coeff == want.e_coeff
-            assert got.id_coeff == want.id_coeff
-            assert got.d_a == want.d_a
-            assert got.d_abar == want.d_abar
-
-
-def test_cache_write_failure_keeps_previous_file(tmp_path, monkeypatch):
-    _, info = cache_store.warm(tmp_path, max_mode=1, max_index=4)
-    path = Path(info["path"])
-    before = path.read_bytes()
-
-    class FailingFile:
-        """Writes the header, then fails on the payload."""
-
-        def __init__(self, target, mode):
-            self.handle = open(target, mode)
-            self.writes = 0
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.handle.close()
-
-        def write(self, data):
-            self.writes += 1
-            if self.writes > 1:
-                self.handle.write(data[: len(data) // 2])
-                raise OSError("disk full")
-            return self.handle.write(data)
-
-    monkeypatch.setattr(cache_store, "open", FailingFile, raising=False)
-    with pytest.raises(OSError, match="disk full"):
-        cache_store.warm(tmp_path, max_mode=2, max_index=4)
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert cache_store.load_operator_table(tmp_path, 4) is not None
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-
-
-def test_cache_missing_and_wrong_window(tmp_path):
-    assert cache_store.load_operator_table(tmp_path, 4) is None
-    cache_store.warm(tmp_path, max_mode=1, max_index=4)
-    assert cache_store.load_operator_table(tmp_path, 9) is None
-
-
-def test_cache_stale_version_is_ignored(tmp_path):
-    _, info = cache_store.warm(tmp_path, max_mode=1, max_index=4)
-    path = Path(info["path"])
-    raw = bytearray(path.read_bytes())
-    raw[4] = 99  # version byte
-    path.write_bytes(bytes(raw))
-    assert cache_store.load_operator_table(tmp_path, 4) is None
-
-
-def test_cache_corruption_is_detected_and_rebuilt(tmp_path, caplog):
-    _, info = cache_store.warm(tmp_path, max_mode=1, max_index=4)
-    path = Path(info["path"])
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with caplog.at_level("WARNING", logger="loopcft.cache"):
-        assert cache_store.load_operator_table(tmp_path, 4) is None
-    assert any("checksum" in r.message for r in caplog.records)
-    # warming again replaces the damaged file with a good one
-    cache_store.warm(tmp_path, max_mode=1, max_index=4)
-    assert cache_store.load_operator_table(tmp_path, 4) is not None
-
-
-def test_cache_rewarm_checks_shared_coefficients(tmp_path):
-    cache_store.warm(tmp_path, max_mode=2, max_index=4)
-    _, info = cache_store.warm(tmp_path, max_mode=2, max_index=8)
-    assert "operators_m4.lcfc" in info["checked_against"]
-
-
-def test_cache_rewarm_rejects_tampered_history(tmp_path):
-    table, _ = cache_store.warm(tmp_path, max_mode=1, max_index=4)
-    bad = OperatorTable(max_index=4)
-    for (n, bar), op in table._cache.items():
-        if n == -1 and not bar:
-            op = dataclasses.replace(op, e_coeff=op.e_coeff + CoeffPoly.one())
-        bad.insert(op)
-    cache_store.save_operator_table(bad, tmp_path)
-    with pytest.raises(cache_store.CacheConsistencyError):
-        cache_store.warm(tmp_path, max_mode=1, max_index=6)
-
-
-def test_cache_cli_lifecycle(runner, tmp_path):
-    env = {"LOOPCFT_CACHE_DIR": str(tmp_path)}
-    result = runner.invoke(
-        main, ["cache", "warm", "--max-mode", "1", "--max-index", "4"], env=env
-    )
-    assert result.exit_code == 0
-    assert "operators_m4.lcfc" in _report(result)["checks"][0]["witness"]
-
-    result = runner.invoke(main, ["cache", "stat"], env=env)
-    assert result.exit_code == 0
-    entries = json.loads(_report(result)["checks"][0]["witness"])
-    assert entries and entries[0]["max_index"] == 4
-    assert entries[0]["modes"] == [-1, 0, 1]
-
-    result = runner.invoke(main, ["cache", "clear"], env=env)
-    assert result.exit_code == 0
-    assert "removed 1 files" in _report(result)["checks"][0]["witness"]
-    assert list(tmp_path.glob("*.lcfc")) == []
-
-
-def test_cache_dir_flag_beats_environment(runner, tmp_path):
-    flag_dir = tmp_path / "flagged"
-    env_dir = tmp_path / "environment"
-    env = {"LOOPCFT_CACHE_DIR": str(env_dir)}
-    result = runner.invoke(
-        main,
-        ["cache", "warm", "--max-mode", "1", "--max-index", "4",
-         "--cache-dir", str(flag_dir)],
-        env=env,
-    )
-    assert result.exit_code == 0
-    assert list(flag_dir.glob("*.lcfc"))
-    assert not env_dir.exists()

@@ -18,7 +18,6 @@ from loopcft.loewner import (
     sle_driving_endpoint,
     trace,
     trace_tip,
-    write_driving_csv,
     write_trace_csv,
 )
 
@@ -375,13 +374,3 @@ def test_trace_csv_round_trip(tmp_path):
     k = 5
     assert float(rows[k + 1][0]) == pytest.approx(k * 1e-2)
     assert complex(float(rows[k + 1][1]), float(rows[k + 1][2])) == tr.points[k]
-
-
-def test_driving_csv(tmp_path):
-    w = sample_sle_driving(3.0, 0.1, 1e-2, seed=9)
-    path = tmp_path / "w.csv"
-    assert write_driving_csv(path, w) == len(w.values)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["t", "W"]
-    assert [float(r[1]) for r in rows[1:]] == list(w.values)

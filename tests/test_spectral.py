@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from loopcft.spectral import (
     AnnulusMap,
     PoleProximityError,
-    SpectralQuery,
     U_of_q,
     annulus_point,
     annulus_schwarzian,
@@ -30,10 +29,7 @@ from loopcft.spectral import (
     poisson_disc,
     reflection_R,
     reflection_smallest_pole,
-    spectral_query_json,
-    spectral_rhs,
     write_bubble_limit_scan,
-    write_u_scan,
 )
 
 KAPPAS = (2.0, 8.0 / 3.0, 3.0, 4.0)
@@ -284,54 +280,8 @@ def test_bubble_mass_nonnegative_on_configurations():
 
 
 # ---------------------------------------------------------------------------
-# spectral right-hand side
+# exact Gram checks
 # ---------------------------------------------------------------------------
-
-
-def test_spectral_rhs_no_partitions_is_reflection():
-    q = SpectralQuery(weight=-1.0, kappa=3.0)
-    assert spectral_rhs(q) == pytest.approx(complex(reflection_R(-1.0, 3.0)))
-
-
-def test_spectral_rhs_level_one():
-    lam = -1.5
-    q = SpectralQuery(weight=lam, kappa=3.0, k=(1,), k_prime=(1,))
-    expected = complex(reflection_R(lam, 3.0)) * 2 * lam
-    assert spectral_rhs(q) == pytest.approx(expected)
-
-
-def test_spectral_rhs_level_mismatch_is_zero():
-    q = SpectralQuery(weight=-1.0, kappa=3.0, k=(1,), k_prime=(2,))
-    assert spectral_rhs(q) == 0j
-    q = SpectralQuery(weight=-1.0, kappa=3.0, ktilde=(1, 1), ktilde_prime=(2, 1))
-    assert spectral_rhs(q) == 0j
-
-
-def test_spectral_rhs_real_in_convergence_region():
-    for kappa in KAPPAS:
-        pole = 0.5 * (1 - kappa / 8)
-        for k, kp in [((1,), (1,)), ((2,), (1, 1)), ((1, 2), (3,))]:
-            level = sum(k)
-            lam = pole - level - 0.25
-            value = spectral_rhs(
-                SpectralQuery(weight=lam, kappa=kappa, k=k, k_prime=kp)
-            )
-            assert math.isfinite(value.real)
-            assert value.imag == pytest.approx(0.0, abs=1e-10)
-
-
-def test_spectral_query_json_reports_pole():
-    import json as _json
-
-    kappa = 3.0
-    pole = 0.5 * (1 - kappa / 8)
-    good = _json.loads(
-        spectral_query_json(SpectralQuery(weight=-1.0, kappa=kappa, k=(1,), k_prime=(1,)))
-    )
-    assert good["value"]["re"] == pytest.approx(reflection_R(-1.0, kappa) * -2.0)
-    assert good["k"] == [1]
-    bad = _json.loads(spectral_query_json(SpectralQuery(weight=pole, kappa=kappa)))
-    assert "pole" in bad and "value" not in bad
 
 
 def test_gram_inverse_check_reports():
@@ -343,17 +293,6 @@ def test_gram_inverse_check_reports():
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
-
-
-def test_u_scan_csv(tmp_path):
-    path = tmp_path / "u.csv"
-    count = write_u_scan(path, [0.1, 0.2, 0.3])
-    assert count == 3
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["q", "U"]
-    assert len(rows) == 4
-    assert float(rows[3][1]) == pytest.approx(U_of_q(0.3), rel=1e-15)
 
 
 def test_bubble_limit_scan_errors_shrink(tmp_path):

@@ -1,6 +1,5 @@
 """Tests for the abstract highest-weight module and its Gram/Kac data."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,6 @@ from loopcft.verma import (
     gram_matrix,
     gram_matrix_at,
     gram_rank_at,
-    gram_report,
     kac_determinant,
     kac_determinant_at,
     kac_lambda,
@@ -241,15 +239,3 @@ def test_cocycle_matches_closed_form():
         for m in range(-8, 9):
             expect = Fraction(n**3 - n) if n + m == 0 else Fraction(0)
             assert cocycle(n, m) == expect, (n, m)
-
-
-def test_gram_report_json():
-    doc = json.loads(gram_report(2, Fraction(3)))
-    assert doc["level"] == 2
-    assert doc["basis"] == [[1, 1], [2]]
-    assert doc["kappa"] == "3"
-    assert len(doc["entries"]) == 2
-    assert doc["determinant"] == kac_determinant_at(2, Fraction(1, 2)).canonical_text()
-    # symbolic variant carries the charge generator
-    doc_sym = json.loads(gram_report(2))
-    assert "c" in doc_sym["determinant"]
