@@ -178,8 +178,9 @@ def loewner_demo(ctx, kappa, dt, seeds, seed, trace_csv, output):
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
         driver = loewner.sample_sle_driving(kappa, 1.0, cfg.loewner_dt, seed=cfg.seed)
+        sampled = loewner.trace(driver)
         try:
-            rows = loewner.write_trace_csv(trace_csv, loewner.trace(driver))
+            rows = loewner.write_trace_csv(trace_csv, sampled)
         except OSError as exc:
             raise click.UsageError(f"cannot write the trace: {exc}") from exc
         click.echo(f"trace with {rows} points written to {trace_csv}", err=True)
