@@ -24,8 +24,13 @@ The central coefficient comes from the Schwarzian cocycle.  With
 ``vartheta_n = -res_z[S(F) q]``: the chain rule (S(G) o F) F'^2 = -S(F) for
 the inverse map G turns the inverse-map residue -res_w[S(G) w^(n+1)] into
 this z-plane residue, so the build never reverses a series.  The residue
-route (:func:`varpi`, :func:`vartheta`) keeps the inverse-map form as an
+formulas (:func:`varpi`, :func:`vartheta`) keep the inverse-map form as an
 independent cross-check.
+
+:func:`build_mode_operator` is the one construction the product path uses.
+:func:`recursion_mode_operator` builds the modes below -2 from nested
+brackets of L_{-1} and L_{-2} instead; it is kept only as an oracle that
+never reads the welding series of the deep modes.
 
 Every coefficient polynomial is extracted from exact truncated-series
 computations with tracked reliability; nothing here ever truncates
@@ -48,6 +53,7 @@ from .symbolic import (
     Partition,
     a as gen_a,
     abar as gen_abar,
+    partition_parts,
     partitions_of,
     rank as matrix_rank,
     schwarzian,
@@ -62,6 +68,7 @@ __all__ = [
     "ModeOperator",
     "OperatorTable",
     "build_mode_operator",
+    "recursion_mode_operator",
     "varpi",
     "vartheta",
     "commutator_parts",
@@ -241,7 +248,7 @@ class ModeOperator:
         """The same operator on the narrower window of indices up to ``max_index``.
 
         Coefficients on that window do not depend on the build window, so a
-        welding-route operator restricted to w is ``==`` to a direct build at w.
+        welded operator restricted to w is ``==`` to a direct build at w.
         The scalar memo is shared: the Euler and identity parts are unchanged.
         """
         if max_index > self.max_index:
@@ -263,20 +270,6 @@ class ModeOperator:
         object.__setattr__(op, "_scalars", self._scalars)
         return op
 
-    def agrees_with(self, other: "ModeOperator") -> bool:
-        """Coefficient equality on the shared index window."""
-        if (self.mode, self.bar) != (other.mode, other.bar):
-            return False
-        if self.e_coeff != other.e_coeff or self.id_coeff != other.id_coeff:
-            return False
-        window = min(self.max_index, other.max_index)
-        for m in range(1, window + 1):
-            if self.d_a.get(m, _ZERO) != other.d_a.get(m, _ZERO):
-                return False
-            if self.d_abar.get(m, _ZERO) != other.d_abar.get(m, _ZERO):
-                return False
-        return True
-
     def __repr__(self) -> str:
         family = "Lbar" if self.bar else "L"
         return f"<{family}_{self.mode} up to index {self.max_index} via {self.provenance}>"
@@ -289,7 +282,7 @@ def _coefficient_map(order: int) -> LaurentSeries:
     return LaurentSeries(1, coeffs, order)
 
 
-def _welding_build(n: int, max_index: int, series_order: int | None) -> dict:
+def _welding_build(n: int, max_index: int) -> dict:
     """P/Q/E/id data for mode n from the welded deformation fields.
 
     The deformation of the coefficient body induced by the vector field
@@ -311,14 +304,10 @@ def _welding_build(n: int, max_index: int, series_order: int | None) -> dict:
     and 1/F' below z^(w+1-n); F/F' - z takes F below z^(w+2) and 1/F'
     below z^(w+1); the final products with F' take F' below z^w, because
     their other factors start at z^2.  F itself is built to order
-    w + 2 + max(0, -n).  The reported ``order`` stays the nominal series
-    order, ``series_order`` or w + |n| + 2 by default.
+    w + 2 + max(0, -n).
     """
-    order = series_order if series_order is not None else max_index + abs(n) + 2
-    if order < max_index + 2:
-        raise ValueError("series order too small for the requested index window")
     top = max_index + 2
-    F = _coefficient_map(min(order, top + max(0, -n)))
+    F = _coefficient_map(top + max(0, -n))
     Fp = F.derivative()
     Fp_inv = Fp.inverse()
     if n >= 0:
@@ -363,59 +352,53 @@ def _welding_build(n: int, max_index: int, series_order: int | None) -> dict:
         "id_coeff": -(_C * theta) * Fraction(1, 12) if not theta.is_zero else _ZERO,
         "d_a": d_a,
         "d_abar": d_abar,
-        "order": order,
     }
 
 
-def build_mode_operator(
-    n: int,
-    bar: bool = False,
-    max_index: int = 8,
-    route: str = "welding",
-    series_order: int | None = None,
-) -> ModeOperator:
-    """Construct one mode operator.
-
-    ``route='welding'`` reads all data from the deformation series (works
-    for every mode); ``route='recursion'`` builds modes below -2 from
-    nested brackets of adjacent modes, as an independent construction.
-    """
-    if route == "welding":
-        data = _welding_build(n, max_index, series_order)
-        op = ModeOperator(
-            mode=n,
-            bar=False,
-            max_index=max_index,
-            e_coeff=data["e_coeff"],
-            id_coeff=data["id_coeff"],
-            d_a=data["d_a"],
-            d_abar=data["d_abar"],
-            provenance=f"welding(order={data['order']})",
-        )
-    elif route == "recursion":
-        if n > -3:
-            raise ValueError("the bracket recursion only defines modes below -2")
-        depth = -n
-        current = build_mode_operator(-2, max_index=max_index + depth - 2)
-        step = build_mode_operator(-1, max_index=max_index + depth - 1)
-        for j in range(2, depth):
-            parts = commutator_parts(step, current)
-            current = ModeOperator(
-                mode=-(j + 1),
-                bar=False,
-                max_index=parts["max_index"],
-                e_coeff=parts["e_coeff"] * Fraction(1, j - 1),
-                id_coeff=parts["id_coeff"] * Fraction(1, j - 1),
-                d_a={m: c * Fraction(1, j - 1) for m, c in parts["d_a"].items()},
-                d_abar={m: c * Fraction(1, j - 1) for m, c in parts["d_abar"].items()},
-                provenance=f"recursion(depth={j + 1})",
-            )
-        op = current
-        if op.max_index < max_index:
-            raise OperatorWindowError("recursion lost more index coverage than expected")
-    else:
-        raise ValueError(f"unknown construction route {route!r}")
+def build_mode_operator(n: int, bar: bool = False, max_index: int = 8) -> ModeOperator:
+    """Construct one mode operator from the welded deformation series."""
+    data = _welding_build(n, max_index)
+    op = ModeOperator(
+        mode=n,
+        bar=False,
+        max_index=max_index,
+        e_coeff=data["e_coeff"],
+        id_coeff=data["id_coeff"],
+        d_a=data["d_a"],
+        d_abar=data["d_abar"],
+        provenance="welding",
+    )
     return op.mirrored() if bar else op
+
+
+def recursion_mode_operator(n: int, max_index: int = 8) -> ModeOperator:
+    """Mode n below -2 from nested brackets of adjacent modes.
+
+    An oracle independent of the welding series for the deep modes:
+    ``L_{-(j+1)} = [L_{-1}, L_{-j}] / (j - 1)``, starting from the welded
+    L_{-1} and L_{-2} at windows wide enough that the result covers
+    exactly ``max_index``.
+    """
+    if n > -3:
+        raise ValueError("the bracket recursion only defines modes below -2")
+    depth = -n
+    current = build_mode_operator(-2, max_index=max_index + depth - 2)
+    step = build_mode_operator(-1, max_index=max_index + depth - 1)
+    for j in range(2, depth):
+        parts = commutator_parts(step, current)
+        current = ModeOperator(
+            mode=-(j + 1),
+            bar=False,
+            max_index=parts["max_index"],
+            e_coeff=parts["e_coeff"] * Fraction(1, j - 1),
+            id_coeff=parts["id_coeff"] * Fraction(1, j - 1),
+            d_a={m: c * Fraction(1, j - 1) for m, c in parts["d_a"].items()},
+            d_abar={m: c * Fraction(1, j - 1) for m, c in parts["d_abar"].items()},
+            provenance=f"recursion(depth={j + 1})",
+        )
+    if current.max_index < max_index:
+        raise OperatorWindowError("recursion lost more index coverage than expected")
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +544,10 @@ class OperatorTable:
     operator from the wider table it was cut from and restricts it.
     """
 
-    def __init__(self, max_index: int = 8, route: str = "welding"):
+    def __init__(self, max_index: int = 8):
         if max_index < 1:
             raise ValueError("max_index must be at least 1")
         self.max_index = max_index
-        self.route = route
         self._cache: dict[tuple[int, bool], ModeOperator] = {}
         self._parent: OperatorTable | None = None
 
@@ -580,7 +562,7 @@ class OperatorTable:
             raise OperatorWindowError(
                 f"cannot widen a window-{self.max_index} table to {max_index}"
             )
-        view = OperatorTable(max_index=max_index, route=self.route)
+        view = OperatorTable(max_index=max_index)
         view._parent = self
         return view
 
@@ -592,8 +574,7 @@ class OperatorTable:
             elif (n, not bar) in self._cache:
                 op = self._cache[(n, not bar)].mirrored()
             else:
-                route = self.route if (self.route != "recursion" or n <= -3) else "welding"
-                op = build_mode_operator(n, bar=bar, max_index=self.max_index, route=route)
+                op = build_mode_operator(n, bar=bar, max_index=self.max_index)
             self._cache[key] = op
         return self._cache[key]
 
@@ -615,12 +596,10 @@ def psi_state(
     table: OperatorTable,
 ) -> StatePoly:
     """The geometric image of the abstract basis vector for (k, ktilde)."""
-    parts = k.parts if isinstance(k, Partition) else tuple(sorted(k))
-    tparts = ktilde.parts if isinstance(ktilde, Partition) else tuple(sorted(ktilde))
     state = vacuum_state()
-    for p in tparts:  # smallest bar part innermost
+    for p in partition_parts(ktilde):  # smallest bar part innermost
         state = table.Lbar(-p).apply(state)
-    for p in parts:
+    for p in partition_parts(k):
         state = table.L(-p).apply(state)
     return state
 
@@ -635,9 +614,8 @@ def geometric_pairing(
     Lower by k', then raise by k; the result must land on the vacuum line
     and the scalar in front is returned (a polynomial in weight and charge).
     """
-    parts = k.parts if isinstance(k, Partition) else tuple(sorted(k))
     state = psi_state(kprime, (), table)
-    for p in reversed(parts):  # largest raising mode acts first
+    for p in reversed(partition_parts(k)):  # largest raising mode acts first
         state = table.L(p).apply(state)
     if state.is_zero:
         return _ZERO
@@ -650,7 +628,7 @@ def geometric_pairing(
 
 def duality_pairing(k: Partition | Sequence[int], table: OperatorTable) -> CoeffPoly:
     """Raising word of k applied to the coefficient monomial of k."""
-    parts = k.parts if isinstance(k, Partition) else tuple(sorted(k))
+    parts = partition_parts(k)
     mono = _ONE
     for p in parts:
         mono = mono * CoeffPoly.generator(gen_a(p))

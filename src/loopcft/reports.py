@@ -159,7 +159,7 @@ class RunConfig:
         if self.loewner_seeds < 2:
             raise ValueError("loewner_seeds must be at least 2")
         steps = 1 / self.loewner_dt
-        if abs(steps - round(steps)) > 1e-9:
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
             raise ValueError(
                 f"loewner_dt must divide the horizon 1 into whole steps, but 1/dt = {steps!r}"
             )

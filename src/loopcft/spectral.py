@@ -17,8 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .symbolic import CC, LAMBDA, invert, partition_count
-from .verma import central_charge, gram_matrix
+from .symbolic import invert
+from .verma import central_charge, gram_matrix_at
 
 __all__ = [
     "PoleProximityError",
@@ -312,13 +312,8 @@ def gram_inverse_check(
     reproduced the identity exactly, or "singular" when the specialization
     sits on degenerate data (a Kac zero), which is a legitimate outcome.
     """
-    charge = central_charge(Fraction(kappa))
-    assignment = {LAMBDA: Fraction(weight), CC: charge}
-    size = partition_count(level)
-    matrix = [
-        [entry.substitute(assignment).as_constant() for entry in row]
-        for row in gram_matrix(level)
-    ]
+    matrix = gram_matrix_at(level, weight, central_charge(Fraction(kappa)))
+    size = len(matrix)
     report = {
         "level": level,
         "weight": str(Fraction(weight)),

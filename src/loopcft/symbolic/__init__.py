@@ -8,7 +8,7 @@ from .linalg import (
     rref,
     solve_unique,
 )
-from .partitions import Partition, partition_count, partitions_of
+from .partitions import Partition, partition_count, partition_parts, partitions_of
 from .poly import (
     CC,
     LAMBDA,
@@ -40,6 +40,7 @@ __all__ = [
     "pre_schwarzian",
     "series_reversion",
     "Partition",
+    "partition_parts",
     "partitions_of",
     "partition_count",
     "rref",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
-__all__ = ["Partition", "partitions_of", "partition_count"]
+__all__ = ["Partition", "partition_parts", "partitions_of", "partition_count"]
 
 
 @dataclass(frozen=True, order=False)
@@ -36,10 +36,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def multiplicity(self, part: int) -> int:
         return self.parts.count(part)
 
@@ -60,6 +56,11 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
+
+
+def partition_parts(partition: Partition | Iterable[int]) -> tuple[int, ...]:
+    """The ascending parts of a :class:`Partition` or of any collection of parts."""
+    return partition.parts if isinstance(partition, Partition) else tuple(sorted(partition))
 
 
 def _partitions_raw(total: int, max_part: int) -> Iterator[tuple[int, ...]]:

@@ -371,10 +371,6 @@ class CoeffPoly:
         top = max(self._nums, default=0).bit_length()
         return (top - 1) // (2 * _FIELD) if top > 2 * _FIELD else 0
 
-    def total_degree(self) -> int:
-        """Maximal unweighted degree over monomials (0 for the zero polynomial)."""
-        return max((_mono_degree(_decode(m)) for m in self._nums), default=0)
-
     # -- ring operations ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:

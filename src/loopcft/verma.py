@@ -32,6 +32,7 @@ from .symbolic import (
     Partition,
     determinant,
     kernel_basis,
+    partition_parts,
     partitions_of,
     rank as matrix_rank,
 )
@@ -166,20 +167,17 @@ def vacuum() -> VermaVector:
 
 
 def basis_vector(partition: Partition | Sequence[int]) -> VermaVector:
-    parts = tuple(partition.parts if isinstance(partition, Partition) else sorted(partition))
-    return VermaVector({parts: CoeffPoly.one()})
+    return VermaVector({partition_parts(partition): CoeffPoly.one()})
 
 
 def lowering_word(partition: Partition | Sequence[int]) -> Parts:
     """Modes of the PBW word for a partition, most negative first."""
-    parts = partition.parts if isinstance(partition, Partition) else tuple(sorted(partition))
-    return tuple(-p for p in reversed(parts))
+    return tuple(-p for p in reversed(partition_parts(partition)))
 
 
 def raising_word(partition: Partition | Sequence[int]) -> Parts:
     """Adjoint word of :func:`lowering_word` — positive modes ascending."""
-    parts = partition.parts if isinstance(partition, Partition) else tuple(sorted(partition))
-    return tuple(parts)
+    return partition_parts(partition)
 
 
 @lru_cache(maxsize=None)

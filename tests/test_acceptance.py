@@ -15,11 +15,11 @@ import pytest
 from loopcft import loewner, spectral
 from loopcft.operators import (
     OperatorTable,
-    build_mode_operator,
     commutator_defect,
     duality_pairing,
     geometric_pairing,
     level_rank,
+    recursion_mode_operator,
     state_family_residuals,
     vacuum_state,
 )
@@ -214,9 +214,8 @@ def test_criterion_09_bracket_recursion(table):
         defect = commutator_defect(table.L(-1), table.L(-ell), table)
         assert not defect["d_a"] and not defect["d_abar"]
         assert defect["id_coeff"].is_zero and defect["e_coeff"].is_zero
-        welded = table.L(-ell - 1)
-        recursed = build_mode_operator(-ell - 1, max_index=6, route="recursion")
-        assert recursed.agrees_with(welded)
+        recursed = recursion_mode_operator(-ell - 1, max_index=6)
+        assert recursed == table.L(-ell - 1).restricted(6)
     _verdict(9, "bracket recursion reproduces modes -3 and -4 on both routes")
 
 

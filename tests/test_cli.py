@@ -170,11 +170,12 @@ def test_config_fields_are_type_checked():
     assert RunConfig(tol_bubble=1, seed=0).tol_bubble == 1
 
 
-@pytest.mark.parametrize("dt", ["0.0003", "0.0007", "0.3"])
+@pytest.mark.parametrize("dt", ["0.0003", "0.0007", "0.3", "1e9", "1e10"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_off_grid_loewner_dt_is_usage_error(runner, tmp_path, dt, source):
     # 1/dt must be a whole number of steps: 0.0003 used to stop the grid at
-    # t = 0.9999 (exit 1) and 0.0007 to sample W at t = 1.0003 (exit 0)
+    # t = 0.9999 (exit 1) and 0.0007 to sample W at t = 1.0003 (exit 0);
+    # 1e9 and 1e10 round 1/dt to zero steps and used to run an empty grid
     if source == "flag":
         argv = ["loewner-demo", "--dt", dt, "--seeds", "2"]
     else:

@@ -27,6 +27,7 @@ from loopcft.operators import (
     geometric_pairing,
     level_rank,
     psi_state,
+    recursion_mode_operator,
     state_family_residuals,
     vacuum_state,
     varpi,
@@ -149,13 +150,6 @@ def test_bar_family_is_the_mirror(table):
         for m in range(1, 9):
             assert mirror.d_abar.get(m, ZERO) == op.d_a.get(m, ZERO).swap_bars()
             assert mirror.d_a.get(m, ZERO) == op.d_abar.get(m, ZERO).swap_bars()
-
-
-def test_series_order_independence():
-    for n in (-3, -1, 2):
-        lean = build_mode_operator(n, max_index=6)
-        padded = build_mode_operator(n, max_index=6, series_order=6 + abs(n) + 6)
-        assert lean.agrees_with(padded), n
 
 
 def _derive_over_term_union(op: ModeOperator, poly: CoeffPoly) -> CoeffPoly:
@@ -476,12 +470,13 @@ def test_bracket_recursion_reproduces_welding():
 
 
 def test_recursion_route_operator_equality():
-    for n, window in [(-3, 6), (-4, 5)]:
-        assert build_mode_operator(n, max_index=window).agrees_with(
-            build_mode_operator(n, max_index=window, route="recursion")
-        )
+    for n in range(-6, -2):
+        for window in range(1, 7):
+            assert recursion_mode_operator(n, max_index=window) == build_mode_operator(
+                n, max_index=window
+            ), (n, window)
     with pytest.raises(ValueError):
-        build_mode_operator(-2, route="recursion")
+        recursion_mode_operator(-2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -865,14 +860,13 @@ def _reference_welding_build(n: int, max_index: int, series_order: int | None) -
         "id_coeff": -(C * theta) * Fraction(1, 12) if not theta.is_zero else ZERO,
         "d_a": d_a,
         "d_abar": d_abar,
-        "order": order,
     }
 
 
 @pytest.mark.parametrize("window", range(1, 13))
 def test_welding_build_matches_the_dense_build(window):
     for n in range(-8, 9):
-        assert _welding_build(n, window, None) == _reference_welding_build(n, window, None), n
+        assert _welding_build(n, window) == _reference_welding_build(n, window, None), n
 
 
 @pytest.mark.parametrize("window", range(1, 7))
@@ -880,12 +874,7 @@ def test_welding_build_ignores_series_order_padding(window):
     # the dense build is slow at padded orders, so the padded sweep stops at window 6
     for n in range(-8, 9):
         padded = window + abs(n) + 6
-        assert _welding_build(n, window, padded) == _reference_welding_build(n, window, padded), n
-
-
-def test_welding_build_refuses_too_small_a_series_order():
-    with pytest.raises(ValueError, match="series order too small"):
-        _welding_build(2, 6, 7)
+        assert _welding_build(n, window) == _reference_welding_build(n, window, padded), n
 
 
 # ---------------------------------------------------------------------------
@@ -936,9 +925,9 @@ def test_restricted_table_shares_builds_and_keeps_its_window(wide_table, monkeyp
 def test_report_all_builds_each_mode_once(monkeypatch):
     built = []
 
-    def counting(n, max_index, series_order):
+    def counting(n, max_index):
         built.append(n)
-        return _welding_build(n, max_index, series_order)
+        return _welding_build(n, max_index)
 
     monkeypatch.setattr(operators, "_welding_build", counting)
     report = report_all(RunConfig(level=5, max_mode=4, loewner_seeds=2))

@@ -736,9 +736,8 @@ def test_fused_welding_build_matches_the_old_loops():
     def builds():
         texts = {}
         for n in range(-8, 9):
-            data = _welding_build(n, 10, None)
+            data = _welding_build(n, 10)
             texts[n] = (
-                data["order"],
                 data["e_coeff"].canonical_text(),
                 data["id_coeff"].canonical_text(),
                 {m: c.canonical_text() for m, c in data["d_a"].items()},
