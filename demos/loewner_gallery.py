@@ -46,8 +46,7 @@ def random_acts(kappa: float, seed: int, trace_csv: str | None) -> None:
 
     n = 3000
     total = total_sq = 0.0
-    for s in range(n):
-        w_final = loewner.sle_driving_endpoint(kappa, 1.0, dt, seed=s)
+    for w_final in loewner.sle_driving_endpoints(kappa, 1.0, dt, range(n)):
         total += w_final
         total_sq += w_final * w_final
     mean = total / n

@@ -170,27 +170,40 @@ def test_config_fields_are_type_checked():
     assert RunConfig(tol_bubble=1, seed=0).tol_bubble == 1
 
 
+def _loewner_dt_argv(dt: str, source: str, tmp_path) -> list[str]:
+    """loewner-demo with ``dt`` given by the --dt flag or by a config file."""
+    if source == "flag":
+        return ["loewner-demo", "--dt", dt, "--seeds", "2"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"loewner_dt": float(dt), "loewner_seeds": 2}))
+    return ["--config", str(path), "loewner-demo"]
+
+
 @pytest.mark.parametrize("dt", ["0.0003", "0.0007", "0.3", "1e9", "1e10"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_off_grid_loewner_dt_is_usage_error(runner, tmp_path, dt, source):
     # 1/dt must be a whole number of steps: 0.0003 used to stop the grid at
     # t = 0.9999 (exit 1) and 0.0007 to sample W at t = 1.0003 (exit 0);
     # 1e9 and 1e10 round 1/dt to zero steps and used to run an empty grid
-    if source == "flag":
-        argv = ["loewner-demo", "--dt", dt, "--seeds", "2"]
-    else:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"loewner_dt": float(dt), "loewner_seeds": 2}))
-        argv = ["--config", str(path), "loewner-demo"]
-    result = runner.invoke(main, argv)
+    result = runner.invoke(main, _loewner_dt_argv(dt, source, tmp_path))
     assert result.exit_code == 2
     assert "loewner_dt must divide the horizon 1 into whole steps" in result.output
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("dt", ["2e-5", "1e-5", "1e-6"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_too_fine_loewner_dt_is_usage_error(runner, tmp_path, dt, source):
+    # the sampled trace costs (1/dt)^2: 1/dt = 4e4 already took 15 s
+    result = runner.invoke(main, _loewner_dt_argv(dt, source, tmp_path))
+    assert result.exit_code == 2
+    assert "loewner_dt must be at least 1/20000 (at most 20000 steps)" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_grid_loewner_dt_is_accepted(runner, tmp_path):
     path = tmp_path / "cfg.json"
-    for dt in (1e-3, 1e-4):
+    for dt in (1e-3, 1e-4, 5e-5):
         path.write_text(json.dumps({"loewner_dt": dt}))
         assert RunConfig.from_sources(path).loewner_dt == dt
         assert RunConfig.from_sources(None, {"loewner_dt": dt}).loewner_dt == dt

@@ -3,12 +3,14 @@
 import cmath
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcft import loewner
 from loopcft.loewner import (
     DrivingFunction,
     SwallowedError,
@@ -16,6 +18,7 @@ from loopcft.loewner import (
     forward_map,
     sample_sle_driving,
     sle_driving_endpoint,
+    sle_driving_endpoints,
     trace,
     trace_tip,
     write_trace_csv,
@@ -283,6 +286,45 @@ def test_in_place_trace_matches_reference_on_deterministic_drivers():
         assert _bits(trace(w).points) == _bits(_reference_trace_points(w))
 
 
+def _equal_work_cuts(points: int, blocks: int) -> list[int]:
+    return [round(points * math.sqrt(i / blocks)) for i in range(blocks + 1)]
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+def test_zipper_blocks_match_reference_bitwise(dt):
+    K = round(1 / dt)
+    splits = [
+        [0, K + 1],
+        _equal_work_cuts(K + 1, 2),
+        _equal_work_cuts(K + 1, 3),
+        [0, 1, 2, K // 3, K + 1],  # uneven, with one-point blocks
+    ]
+    for w in (
+        sample_sle_driving(3.0, 1.0, dt, seed=5),
+        DrivingFunction.zero(1.0, dt),
+        DrivingFunction(dt=dt, values=(0.0,) + (0.7,) * K),
+    ):
+        want = _bits(_reference_trace_points(w))
+        for cuts in splits:
+            assert _bits(loewner._zipper(w, cuts)) == want, cuts
+
+
+def test_trace_is_the_same_bits_on_any_worker_count(monkeypatch):
+    # the blocks share one buffer; frequent thread switches would expose an overlap
+    w = sample_sle_driving(3.0, 1.0, 2e-4, seed=3)
+    assert w.steps == 5000
+    traces = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(loewner, "_workers", lambda work, n=workers: n)
+            traces.append(_bits(trace(w).points))
+    finally:
+        sys.setswitchinterval(interval)
+    assert traces[0] == traces[1] == traces[2]
+
+
 def test_trace_type_validation():
     with pytest.raises(ValueError):
         Trace(dt=0.1, points=(1 + 0j, 2j))
@@ -326,6 +368,31 @@ def test_endpoint_is_the_sampled_driver_endpoint_bitwise(dt):
         assert sle_driving_endpoint(3.0, 1.0, dt, seed=seed).hex() == want.hex()
 
 
+@pytest.mark.parametrize("dt, workers", [(1e-3, None), (1e-4, 2)])
+def test_endpoint_batch_is_the_per_seed_endpoints_bitwise(monkeypatch, dt, workers):
+    seeds = range(100, 160)
+    if workers is None:
+        assert loewner._workers(len(seeds) * round(1 / dt)) == 1
+    else:
+        monkeypatch.setattr(loewner, "_workers", lambda work: workers)
+    want = [sle_driving_endpoint(3.0, 1.0, dt, seed=s).hex() for s in seeds]
+    assert [end.hex() for end in sle_driving_endpoints(3.0, 1.0, dt, seeds)] == want
+
+
+def test_endpoint_batch_raises_a_worker_error(monkeypatch):
+    walk = loewner._sle_walk
+
+    def faulty_walk(kappa, T, dt, seed):
+        if seed == 37:
+            raise ValueError("seed 37 fails")
+        return walk(kappa, T, dt, seed)
+
+    monkeypatch.setattr(loewner, "_sle_walk", faulty_walk)
+    monkeypatch.setattr(loewner, "_workers", lambda work: 2)
+    with pytest.raises(ValueError, match="seed 37 fails"):
+        sle_driving_endpoints(3.0, 1.0, 1e-4, range(30, 40))
+
+
 @pytest.mark.parametrize(
     "kappa, T, dt",
     [(5.0, 1.0, 1e-2), (0.0, 1.0, 1e-2), (-1.0, 1.0, 1e-2), (3.0, 1.0, -1e-2),
@@ -337,6 +404,8 @@ def test_endpoint_rejects_what_the_sampler_rejects(kappa, T, dt):
         sample_sle_driving(kappa, T, dt, seed=0)
     with pytest.raises(ValueError):
         sle_driving_endpoint(kappa, T, dt, seed=0)
+    with pytest.raises(ValueError):
+        sle_driving_endpoints(kappa, T, dt, range(3))
 
 
 def test_sampler_variance_small_panel():
