@@ -42,7 +42,6 @@ __all__ = [
     "trace",
     "trace_tip",
     "sample_sle_driving",
-    "sle_driving_endpoint",
     "sle_driving_endpoints",
     "write_trace_csv",
 ]
@@ -334,18 +333,13 @@ def _walk_ends(kappa: float, T: float, dt: float, seeds: Sequence[int]) -> list[
     return ends
 
 
-def sle_driving_endpoint(kappa: float, T: float, dt: float, seed: int) -> float:
-    """W_T of ``sample_sle_driving(kappa, T, dt, seed)``, without building the driver."""
-    return _walk_ends(kappa, T, dt, [seed])[0]
-
-
 def sle_driving_endpoints(
     kappa: float, T: float, dt: float, seeds: Iterable[int]
 ) -> list[float]:
-    """``[sle_driving_endpoint(kappa, T, dt, s) for s in seeds]``, one thread per chunk.
+    """W_T of ``sample_sle_driving(kappa, T, dt, s)`` for each of ``seeds``, in order.
 
-    The seeds are cut into one contiguous chunk per worker, and the chunks'
-    endpoints are joined back in seed order.
+    No driver is built.  The seeds are cut into one contiguous chunk per
+    worker, and the chunks' endpoints are joined back in seed order.
     """
     seeds = list(seeds)
     workers = _workers(len(seeds) * _sle_steps(kappa, T, dt))

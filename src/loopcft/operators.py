@@ -27,6 +27,11 @@ this z-plane residue, so the build never reverses a series.  The residue
 formulas (:func:`varpi`, :func:`vartheta`) keep the inverse-map form as an
 independent cross-check.
 
+:class:`ModeOperator` is the one carrier of this first-order data.  The
+welding build, a bracket (:func:`commutator_parts`) and a bracket's
+defect from its algebra value (:func:`commutator_defect`) are all of
+that type, compared with ``==`` and tested with ``is_zero``.
+
 :func:`build_mode_operator` is the one construction the product path uses.
 :func:`recursion_mode_operator` builds the modes below -2 from nested
 brackets of L_{-1} and L_{-2} instead; it is kept only as an oracle that
@@ -40,7 +45,7 @@ silently — an operator that cannot act exactly on a state raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -187,9 +192,19 @@ class ModeOperator:
     _scalars: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        coeffs = {gen_a(m): c for m, c in self.d_a.items() if not c.is_zero}
-        coeffs.update((gen_abar(m), c) for m, c in self.d_abar.items() if not c.is_zero)
+        # zero coefficients are dropped, so equal operators have equal maps
+        d_a = {m: c for m, c in self.d_a.items() if not c.is_zero}
+        d_abar = {m: c for m, c in self.d_abar.items() if not c.is_zero}
+        object.__setattr__(self, "d_a", d_a)
+        object.__setattr__(self, "d_abar", d_abar)
+        coeffs = {gen_a(m): c for m, c in d_a.items()}
+        coeffs.update((gen_abar(m), c) for m, c in d_abar.items())
         object.__setattr__(self, "_coeffs", coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        """True when the derivation, Euler and identity parts all vanish."""
+        return not self._coeffs and self.e_coeff.is_zero and self.id_coeff.is_zero
 
     def _check_window(self, poly: CoeffPoly) -> None:
         if poly.max_coefficient_index() > self.max_index:
@@ -270,6 +285,42 @@ class ModeOperator:
         object.__setattr__(op, "_scalars", self._scalars)
         return op
 
+    def scaled(self, factor: Fraction | int) -> "ModeOperator":
+        """Every part times the rational ``factor``, on the same window."""
+        return ModeOperator(
+            mode=self.mode,
+            bar=self.bar,
+            max_index=self.max_index,
+            e_coeff=self.e_coeff * factor,
+            id_coeff=self.id_coeff * factor,
+            d_a={m: c * factor for m, c in self.d_a.items()},
+            d_abar={m: c * factor for m, c in self.d_abar.items()},
+            provenance=f"{self.provenance}|scaled({factor})",
+        )
+
+    def __sub__(self, other: "ModeOperator") -> "ModeOperator":
+        """The part-by-part difference of two operators on one window.
+
+        The result keeps this operator's mode and family.
+        """
+        if other.max_index != self.max_index:
+            raise OperatorWindowError(
+                f"cannot subtract an operator on window {other.max_index} "
+                f"from one on window {self.max_index}"
+            )
+        return ModeOperator(
+            mode=self.mode,
+            bar=self.bar,
+            max_index=self.max_index,
+            e_coeff=self.e_coeff - other.e_coeff,
+            id_coeff=self.id_coeff - other.id_coeff,
+            d_a={m: self.d_a.get(m, _ZERO) - other.d_a.get(m, _ZERO)
+                 for m in self.d_a.keys() | other.d_a.keys()},
+            d_abar={m: self.d_abar.get(m, _ZERO) - other.d_abar.get(m, _ZERO)
+                    for m in self.d_abar.keys() | other.d_abar.keys()},
+            provenance=f"{self.provenance}|minus({other.provenance})",
+        )
+
     def __repr__(self) -> str:
         family = "Lbar" if self.bar else "L"
         return f"<{family}_{self.mode} up to index {self.max_index} via {self.provenance}>"
@@ -282,8 +333,8 @@ def _coefficient_map(order: int) -> LaurentSeries:
     return LaurentSeries(1, coeffs, order)
 
 
-def _welding_build(n: int, max_index: int) -> dict:
-    """P/Q/E/id data for mode n from the welded deformation fields.
+def _welding_build(n: int, max_index: int) -> ModeOperator:
+    """The L-family operator of mode n from the welded deformation fields.
 
     The deformation of the coefficient body induced by the vector field
     ``-z**(n+1) d/dz`` acting on the welding splits into an interior motion
@@ -332,42 +383,30 @@ def _welding_build(n: int, max_index: int) -> dict:
     )
     m_ring = (s_minus_z.scale(-gamma.swap_bars()) - u_high) * Fp_low
 
-    d_a = {}
-    d_abar = {}
-    for m in range(1, max_index + 1):
-        p_coeff = f_dot.coefficient(m + 1)
-        if not p_coeff.is_zero:
-            d_a[m] = p_coeff
-        q_coeff = m_ring.coefficient(m + 1).swap_bars()
-        if not q_coeff.is_zero:
-            d_abar[m] = q_coeff
+    window = range(1, max_index + 1)
+    d_a = {m: f_dot.coefficient(m + 1) for m in window}
+    d_abar = {m: m_ring.coefficient(m + 1).swap_bars() for m in window}
 
     # only the z^-1 term of S(F) q is needed: S(F) through z^(-n-2), q through z^-1
     if n <= -2:
         theta = -(schwarzian(F.truncate(2 - n)) * q.truncate(0)).residue()
     else:
         theta = _ZERO
-    return {
-        "e_coeff": -gamma,
-        "id_coeff": -(_C * theta) * Fraction(1, 12) if not theta.is_zero else _ZERO,
-        "d_a": d_a,
-        "d_abar": d_abar,
-    }
+    return ModeOperator(
+        mode=n,
+        bar=False,
+        max_index=max_index,
+        e_coeff=-gamma,
+        id_coeff=-(_C * theta) * Fraction(1, 12) if not theta.is_zero else _ZERO,
+        d_a=d_a,
+        d_abar=d_abar,
+        provenance="welding",
+    )
 
 
 def build_mode_operator(n: int, bar: bool = False, max_index: int = 8) -> ModeOperator:
     """Construct one mode operator from the welded deformation series."""
-    data = _welding_build(n, max_index)
-    op = ModeOperator(
-        mode=n,
-        bar=False,
-        max_index=max_index,
-        e_coeff=data["e_coeff"],
-        id_coeff=data["id_coeff"],
-        d_a=data["d_a"],
-        d_abar=data["d_abar"],
-        provenance="welding",
-    )
+    op = _welding_build(n, max_index)
     return op.mirrored() if bar else op
 
 
@@ -385,15 +424,8 @@ def recursion_mode_operator(n: int, max_index: int = 8) -> ModeOperator:
     current = build_mode_operator(-2, max_index=max_index + depth - 2)
     step = build_mode_operator(-1, max_index=max_index + depth - 1)
     for j in range(2, depth):
-        parts = commutator_parts(step, current)
-        current = ModeOperator(
-            mode=-(j + 1),
-            bar=False,
-            max_index=parts["max_index"],
-            e_coeff=parts["e_coeff"] * Fraction(1, j - 1),
-            id_coeff=parts["id_coeff"] * Fraction(1, j - 1),
-            d_a={m: c * Fraction(1, j - 1) for m, c in parts["d_a"].items()},
-            d_abar={m: c * Fraction(1, j - 1) for m, c in parts["d_abar"].items()},
+        current = replace(
+            commutator_parts(step, current).scaled(Fraction(1, j - 1)),
             provenance=f"recursion(depth={j + 1})",
         )
     if current.max_index < max_index:
@@ -431,12 +463,13 @@ def vartheta(n: int, order: int = 12) -> CoeffPoly:
 # ---------------------------------------------------------------------------
 
 
-def commutator_parts(u: ModeOperator, t: ModeOperator) -> dict:
-    """The bracket [u, t] expanded back into (derivation, id, E) data.
+def commutator_parts(u: ModeOperator, t: ModeOperator) -> ModeOperator:
+    """The bracket [u, t] as a first-order operator of mode ``nu + nt``.
 
     Valid for any pair of families: the Euler operator couples to both
     families' levels at once, which is what makes this closed form work.
-    The result covers indices up to ``min(Mu - |mode_t|, Mt - |mode_u|)``.
+    The result is in u's family and covers indices up to
+    ``min(Mu - |mode_t|, Mt - |mode_u|)``.
     """
     window = min(u.max_index - abs(t.mode), t.max_index - abs(u.mode))
     if window < 1:
@@ -460,8 +493,7 @@ def commutator_parts(u: ModeOperator, t: ModeOperator) -> dict:
                 term = term - t.derive(u_cf)
                 if not t.e_coeff.is_zero:
                     term = term + nu * t.e_coeff * u_cf
-            if not term.is_zero:
-                target[m] = term
+            target[m] = term
     id_part = (
         u.derive(t.id_coeff)
         - t.derive(u.id_coeff)
@@ -473,63 +505,41 @@ def commutator_parts(u: ModeOperator, t: ModeOperator) -> dict:
         - t.derive(u.e_coeff)
         + (nu - nt) * u.e_coeff * t.e_coeff
     )
-    return {
-        "mode": nu + nt,
-        "max_index": window,
-        "d_a": d_a,
-        "d_abar": d_abar,
-        "id_coeff": id_part,
-        "e_coeff": e_part,
-        "mixed": u.bar != t.bar,
-    }
+    return ModeOperator(
+        mode=nu + nt,
+        bar=u.bar,
+        max_index=window,
+        e_coeff=e_part,
+        id_coeff=id_part,
+        d_a=d_a,
+        d_abar=d_abar,
+        provenance="bracket",
+    )
 
 
 def commutator_defect(
     u: ModeOperator, t: ModeOperator, reference: "OperatorTable"
-) -> dict:
-    """Difference between [u, t] and its expected algebra value, as parts.
+) -> ModeOperator:
+    """[u, t] minus its expected algebra value, as one operator.
 
-    For a same-family pair the expectation is ``(nu - nt) L_{nu+nt}`` plus
-    the central cocycle times the identity; for a mixed pair it is zero.
-    All returned polynomials vanish exactly iff the relation holds on the
-    shared window.
+    For a same-family pair the expectation is ``(nu - nt) L_{nu+nt}``, taken
+    from ``reference``, plus the central cocycle times the identity; for a
+    mixed pair it is zero.  The defect covers the bracket's window and
+    ``is_zero`` exactly iff the relation holds there.
     """
-    parts = commutator_parts(u, t)
-    window = parts["max_index"]
-    defect_da = dict(parts["d_a"])
-    defect_dabar = dict(parts["d_abar"])
-    defect_e = parts["e_coeff"]
-    defect_id = parts["id_coeff"]
-    if not parts["mixed"]:
-        factor = u.mode - t.mode
-        if factor:
-            ref = reference.mode_operator(parts["mode"], bar=u.bar)
-            if ref.max_index < window:
-                raise OperatorWindowError("reference operator window too small")
-            for m in range(1, window + 1):
-                expect = ref.d_a.get(m, _ZERO) * factor
-                got = defect_da.pop(m, _ZERO)
-                diff = got - expect
-                if not diff.is_zero:
-                    defect_da[m] = diff
-                expect = ref.d_abar.get(m, _ZERO) * factor
-                got = defect_dabar.pop(m, _ZERO)
-                diff = got - expect
-                if not diff.is_zero:
-                    defect_dabar[m] = diff
-            defect_e = defect_e - factor * ref.e_coeff
-            defect_id = defect_id - factor * ref.id_coeff
-        if u.mode + t.mode == 0:
-            central = _C * Fraction(1, 12) * cocycle(u.mode, t.mode)
-            defect_id = defect_id - central
-    return {
-        "mode": parts["mode"],
-        "max_index": window,
-        "d_a": defect_da,
-        "d_abar": defect_dabar,
-        "id_coeff": defect_id,
-        "e_coeff": defect_e,
-    }
+    defect = commutator_parts(u, t)
+    if u.bar != t.bar:
+        return defect
+    factor = u.mode - t.mode
+    if factor:
+        ref = reference.mode_operator(defect.mode, bar=u.bar)
+        if ref.max_index < defect.max_index:
+            raise OperatorWindowError("reference operator window too small")
+        defect = defect - ref.restricted(defect.max_index).scaled(factor)
+    if u.mode + t.mode == 0:
+        central = _C * Fraction(1, 12) * cocycle(u.mode, t.mode)
+        defect = replace(defect, id_coeff=defect.id_coeff - central)
+    return defect
 
 
 # ---------------------------------------------------------------------------

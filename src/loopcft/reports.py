@@ -21,6 +21,7 @@ from typing import Callable
 
 from . import spectral
 from .operators import (
+    ModeOperator,
     OperatorTable,
     commutator_defect,
     duality_pairing,
@@ -30,11 +31,12 @@ from .operators import (
     varpi,
     vartheta,
 )
-from .symbolic import CC, LAMBDA, CoeffPoly, partition_count, partitions_of
+from .symbolic import CC, LAMBDA, CoeffPoly, invert, partition_count, partitions_of
 from .verma import (
     central_charge,
     gram_entry,
     gram_matrix,
+    gram_matrix_at,
     gram_rank_at,
     kac_determinant_at,
     kac_lambda,
@@ -283,22 +285,18 @@ class Report:
         return ok
 
 
-def _defect_is_zero(defect: dict) -> bool:
-    return (
-        not defect["d_a"]
-        and not defect["d_abar"]
-        and defect["id_coeff"].is_zero
-        and defect["e_coeff"].is_zero
-    )
-
-
-def _describe_defect(defect: dict) -> str:
-    bad = sorted(defect["d_a"]) + [f"bar{m}" for m in sorted(defect["d_abar"])]
-    if not defect["id_coeff"].is_zero:
+def _describe_defect(defect: ModeOperator) -> str:
+    bad = sorted(defect.d_a) + [f"bar{m}" for m in sorted(defect.d_abar)]
+    if not defect.id_coeff.is_zero:
         bad.append("id")
-    if not defect["e_coeff"].is_zero:
+    if not defect.e_coeff.is_zero:
         bad.append("euler")
     return f"nonzero defect components at {bad}"
+
+
+def _off_kac_weight(cfg: RunConfig) -> Fraction:
+    """The requested weight, or the default generic weight 5/7."""
+    return cfg.weight if cfg.weight is not None else Fraction(5, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +332,9 @@ def suite_commutators(cfg: RunConfig, table: OperatorTable | None = None) -> Rep
             u = table.L(n)
             t = table.Lbar(m) if mixed else table.L(m)
             defect = commutator_defect(u, t, table)
-            if _defect_is_zero(defect):
+            if defect.is_zero:
                 kind = "zero" if mixed else "algebra value"
-                return True, f"[{n},{m}] equals {kind} on window {defect['max_index']}"
+                return True, f"[{n},{m}] equals {kind} on window {defect.max_index}"
             return False, _describe_defect(defect)
 
         return check
@@ -350,8 +348,7 @@ def suite_commutators(cfg: RunConfig, table: OperatorTable | None = None) -> Rep
 
     def mirror_family() -> tuple[bool, str]:
         defect = commutator_defect(table.Lbar(1), table.Lbar(-1), table)
-        ok = _defect_is_zero(defect)
-        return ok, "barred family closes identically (mirror construction)"
+        return defect.is_zero, "barred family closes identically (mirror construction)"
 
     report.run("bracket Lbar(1) Lbar(-1)", mirror_family)
     return report
@@ -385,13 +382,18 @@ def suite_gram(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
         report.run(f"geometric matches abstract, level {n}", level_match(n))
 
     def inverse_check() -> tuple[bool, str]:
-        weight = cfg.weight if cfg.weight is not None else Fraction(5, 7)
-        result = spectral.gram_inverse_check(min(top, 2), weight, cfg.kappa)
-        ok = result["status"] == "identity"
-        return ok, (
-            f"B * B^-1 at level {result['level']}, lambda={result['weight']}: "
-            f"{result['status']}"
-        )
+        level, weight = min(top, 2), _off_kac_weight(cfg)
+        matrix = gram_matrix_at(level, weight, central_charge(cfg.kappa))
+        try:
+            inverse = invert(matrix)
+        except ValueError:  # the weight sits on a Kac zero
+            status = "singular"
+        else:
+            size = range(len(matrix))
+            product = [[sum(row[k] * inverse[k][j] for k in size) for j in size] for row in matrix]
+            identity = [[int(i == j) for j in size] for i in size]
+            status = "identity" if product == identity else "mismatch"
+        return status == "identity", f"B * B^-1 at level {level}, lambda={weight}: {status}"
 
     report.run("exact inverse sanity", inverse_check)
     return report
@@ -447,7 +449,7 @@ def suite_kac(cfg: RunConfig) -> Report:
     report.run(f"degenerate roots at level {level}", roots)
 
     def ranks() -> tuple[bool, str]:
-        off_kac = cfg.weight if cfg.weight is not None else Fraction(5, 7)
+        off_kac = _off_kac_weight(cfg)
         observed = []
         for n in range(min(level, 4) + 1):
             rank = gram_rank_at(n, off_kac, charge)

@@ -13,12 +13,9 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .symbolic import invert
-from .verma import central_charge, gram_matrix_at
 
 __all__ = [
     "PoleProximityError",
@@ -35,7 +32,6 @@ __all__ = [
     "poisson_annulus_covariant",
     "bubble_mass",
     "bubble_mass_limit",
-    "gram_inverse_check",
     "write_bubble_limit_scan",
 ]
 
@@ -296,47 +292,6 @@ def bubble_mass_limit(amap: AnnulusMap, theta: float, theta_p: float) -> float:
     return math.pi * (
         poisson_disc(z, w) - poisson_annulus_covariant(amap, theta, theta_p)
     )
-
-
-# ---------------------------------------------------------------------------
-# exact Gram checks
-# ---------------------------------------------------------------------------
-
-
-def gram_inverse_check(
-    level: int, weight: Fraction | int, kappa: Fraction | int
-) -> dict:
-    """Exact-arithmetic check that the specialized Gram matrix inverts.
-
-    Returns a small report dict; ``status`` is "identity" when B * B^{-1}
-    reproduced the identity exactly, or "singular" when the specialization
-    sits on degenerate data (a Kac zero), which is a legitimate outcome.
-    """
-    matrix = gram_matrix_at(level, weight, central_charge(Fraction(kappa)))
-    size = len(matrix)
-    report = {
-        "level": level,
-        "weight": str(Fraction(weight)),
-        "kappa": str(Fraction(kappa)),
-        "size": size,
-    }
-    try:
-        inverse = invert(matrix)
-    except ValueError:
-        report["status"] = "singular"
-        return report
-    identity = [
-        [Fraction(int(i == j)) for j in range(size)] for i in range(size)
-    ]
-    product = [
-        [
-            sum(matrix[i][k] * inverse[k][j] for k in range(size))
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    report["status"] = "identity" if product == identity else "mismatch"
-    return report
 
 
 # ---------------------------------------------------------------------------

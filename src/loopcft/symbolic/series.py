@@ -147,7 +147,7 @@ class LaurentSeries:
                 yield (self.valuation + i, c)
 
     def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality on the shared reliable window (used to compare rebuilds)."""
+        """Equality on the shared reliable window, for series of different orders."""
         shared = min(self.order, other.order)
         powers = {p for p, _ in self.coefficients() if p < shared}
         powers |= {p for p, _ in other.coefficients() if p < shared}

@@ -1,8 +1,10 @@
 """CLI contract: exit codes, report schema, config precedence, where numpy
 loads."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -287,6 +289,40 @@ def test_failing_kac_determinant_is_a_check_failure(runner, monkeypatch, error):
     assert any(c["status"] == "pass" for c in report["checks"])
 
 
+def test_nonzero_bracket_defect_fails_and_names_its_parts(runner, monkeypatch):
+    from loopcft import reports
+    from loopcft.operators import ModeOperator
+    from loopcft.symbolic import LAMBDA, CoeffPoly, a
+
+    one = CoeffPoly.one()
+    defect = ModeOperator(
+        mode=0, bar=False, max_index=3, e_coeff=CoeffPoly.generator(LAMBDA),
+        id_coeff=one, d_a={3: one, 1: CoeffPoly.generator(a(2))}, d_abar={2: one},
+    )
+    monkeypatch.setattr(reports, "commutator_defect", lambda u, t, table: defect)
+    result = runner.invoke(main, ["verify-commutators", "--max-mode", "1"])
+    assert result.exit_code == 1
+    report = _report(result)
+    assert report["overall"] == "fail"
+    witnesses = {c["witness"] for c in report["checks"] if c["name"].startswith("bracket L(")}
+    assert witnesses == {"nonzero defect components at [1, 3, 'bar2', 'id', 'euler']"}
+
+
+def test_gram_inverse_check_reports():
+    from loopcft.reports import suite_gram
+
+    for level, weight, status in [
+        (2, Fraction(1, 3), "identity"),
+        (2, Fraction(1, 2), "singular"),
+        (0, None, "identity"),
+    ]:
+        check = suite_gram(RunConfig(level=level, weight=weight)).checks[-1]
+        assert check.name == "exact inverse sanity"
+        assert check.status == ("pass" if status == "identity" else "fail")
+        shown = weight if weight is not None else Fraction(5, 7)
+        assert check.witness == f"B * B^-1 at level {min(level, 2)}, lambda={shown}: {status}"
+
+
 # ---------------------------------------------------------------------------
 # report schema and determinism
 # ---------------------------------------------------------------------------
@@ -395,6 +431,22 @@ def test_config_file_feeds_flags_and_flags_win(runner, tmp_path):
     report = _report(result)
     assert report["params"]["kappa"] == "3/1"  # flag beats file
     assert report["params"]["level"] == 2  # file beats default
+
+
+# ---------------------------------------------------------------------------
+# public names
+# ---------------------------------------------------------------------------
+
+_MODULES = ["loopcft"] + sorted(
+    info.name for info in pkgutil.walk_packages(loopcft.__path__, "loopcft.")
+)
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_exported_name_resolves(name):
+    # perfbench/tracer.py looks up every name in spectral.__all__ and linalg.__all__
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from loopcft.loewner import (
     Trace,
     forward_map,
     sample_sle_driving,
-    sle_driving_endpoint,
     sle_driving_endpoints,
     trace,
     trace_tip,
@@ -361,21 +360,14 @@ def test_sampler_parameter_validation():
         sample_sle_driving(3.0, 0.0, 1e-2, seed=0)
 
 
-@pytest.mark.parametrize("dt", [1e-3, 1e-4])
-def test_endpoint_is_the_sampled_driver_endpoint_bitwise(dt):
-    for seed in range(50):
-        want = sample_sle_driving(3.0, 1.0, dt, seed=seed).values[-1]
-        assert sle_driving_endpoint(3.0, 1.0, dt, seed=seed).hex() == want.hex()
-
-
 @pytest.mark.parametrize("dt, workers", [(1e-3, None), (1e-4, 2)])
 def test_endpoint_batch_is_the_per_seed_endpoints_bitwise(monkeypatch, dt, workers):
-    seeds = range(100, 160)
+    seeds = range(160)
     if workers is None:
         assert loewner._workers(len(seeds) * round(1 / dt)) == 1
     else:
         monkeypatch.setattr(loewner, "_workers", lambda work: workers)
-    want = [sle_driving_endpoint(3.0, 1.0, dt, seed=s).hex() for s in seeds]
+    want = [sample_sle_driving(3.0, 1.0, dt, seed=s).values[-1].hex() for s in seeds]
     assert [end.hex() for end in sle_driving_endpoints(3.0, 1.0, dt, seeds)] == want
 
 
@@ -402,8 +394,6 @@ def test_endpoint_batch_raises_a_worker_error(monkeypatch):
 def test_endpoint_rejects_what_the_sampler_rejects(kappa, T, dt):
     with pytest.raises(ValueError):
         sample_sle_driving(kappa, T, dt, seed=0)
-    with pytest.raises(ValueError):
-        sle_driving_endpoint(kappa, T, dt, seed=0)
     with pytest.raises(ValueError):
         sle_driving_endpoints(kappa, T, dt, range(3))
 

@@ -7,6 +7,7 @@ constraint solver that knows nothing about series and recovers the operator
 purely from the algebra it must satisfy.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -290,19 +291,9 @@ def test_commutator_parts_match_the_per_generator_loop(monkeypatch):
     modes = [n for k in range(1, 5) for n in (k, -k)]
     pairs = [(table.L(n), table.L(m)) for n in modes for m in modes if n != m]
     pairs += [(table.L(n), table.Lbar(m)) for n in modes for m in modes]
-
-    def texts(parts):
-        return (
-            parts["max_index"],
-            parts["e_coeff"].canonical_text(),
-            parts["id_coeff"].canonical_text(),
-            {m: c.canonical_text() for m, c in parts["d_a"].items()},
-            {m: c.canonical_text() for m, c in parts["d_abar"].items()},
-        )
-
-    fast = [texts(commutator_parts(u, t)) for u, t in pairs]
+    fast = [commutator_parts(u, t) for u, t in pairs]
     monkeypatch.setattr(ModeOperator, "derive", _derive_per_generator)
-    slow = [texts(commutator_parts(u, t)) for u, t in pairs]
+    slow = [commutator_parts(u, t) for u, t in pairs]
     assert fast == slow
 
 
@@ -440,19 +431,39 @@ def test_commutator_on_vacuum(table):
 
 def test_operator_commutators_same_family(table):
     for n, m in [(1, -1), (2, -2), (3, -3), (2, -1), (-1, -2), (0, 3), (4, -3), (3, 5)]:
-        d = commutator_defect(table.L(n), table.L(m), table)
-        assert not d["d_a"], (n, m)
-        assert not d["d_abar"], (n, m)
-        assert d["id_coeff"].is_zero, (n, m)
-        assert d["e_coeff"].is_zero, (n, m)
+        assert commutator_defect(table.L(n), table.L(m), table).is_zero, (n, m)
 
 
 def test_operator_commutators_mixed_family_vanish(table):
     for n in range(-3, 4):
         for m in range(-3, 4):
-            d = commutator_defect(table.L(n), table.Lbar(m), table)
-            assert not d["d_a"] and not d["d_abar"], (n, m)
-            assert d["id_coeff"].is_zero and d["e_coeff"].is_zero, (n, m)
+            assert commutator_defect(table.L(n), table.Lbar(m), table).is_zero, (n, m)
+
+
+@pytest.mark.parametrize("part", ["d_a", "d_abar", "e_coeff", "id_coeff"])
+def test_operator_with_one_nonzero_part_is_not_zero(part):
+    zero = ModeOperator(mode=0, bar=False, max_index=2, e_coeff=ZERO, id_coeff=ZERO, d_a={}, d_abar={})
+    assert zero.is_zero
+    nonzero = {1: A1} if part.startswith("d_") else LAM
+    assert not replace(zero, **{part: nonzero}).is_zero
+    # zero coefficients are dropped, so they neither count nor break equality
+    explicit = replace(zero, **{part: {1: ZERO} if part.startswith("d_") else ZERO})
+    assert explicit.is_zero and explicit == zero
+
+
+def test_operator_difference_and_scaling(table):
+    op = table.L(-2)
+    assert (op - op).is_zero
+    assert op.scaled(3) - op == op.scaled(2)
+    assert op.scaled(0).is_zero
+    with pytest.raises(OperatorWindowError):
+        op - op.restricted(6)
+
+
+def test_defect_needs_a_reference_as_wide_as_the_bracket():
+    u, t = build_mode_operator(1, max_index=8), build_mode_operator(-2, max_index=8)
+    with pytest.raises(OperatorWindowError, match="reference operator window too small"):
+        commutator_defect(u, t, OperatorTable(max_index=4))
 
 
 def test_bracket_recursion_reproduces_welding():
@@ -460,13 +471,8 @@ def test_bracket_recursion_reproduces_welding():
         lhs = commutator_parts(
             build_mode_operator(-1, max_index=8), build_mode_operator(-ell, max_index=8)
         )
-        direct = build_mode_operator(-ell - 1, max_index=lhs["max_index"])
-        scale = Fraction(1, ell - 1)
-        assert lhs["e_coeff"] * scale == direct.e_coeff
-        assert lhs["id_coeff"] * scale == direct.id_coeff
-        for m in range(1, lhs["max_index"] + 1):
-            assert lhs["d_a"].get(m, ZERO) * scale == direct.d_a.get(m, ZERO)
-            assert lhs["d_abar"].get(m, ZERO) * scale == direct.d_abar.get(m, ZERO)
+        direct = build_mode_operator(-ell - 1, max_index=lhs.max_index)
+        assert lhs.scaled(Fraction(1, ell - 1)) == direct
 
 
 def test_recursion_route_operator_equality():
@@ -800,8 +806,8 @@ def test_constraint_solver_recovers_mode_minus_two():
 # The build as it was before each product's operands were cut to the
 # z^(max_index + 2) budget: every series runs to the nominal order and
 # negative powers go through inverse() and binary powering.
-def _reference_welding_build(n: int, max_index: int, series_order: int | None) -> dict:
-    """P/Q/E/id data for mode n from the welded deformation fields.
+def _reference_welding_build(n: int, max_index: int, series_order: int | None) -> ModeOperator:
+    """The L-family operator of mode n from the welded deformation fields.
 
     The deformation of the coefficient body induced by the vector field
     ``-z**(n+1) d/dz`` acting on the welding splits into an interior motion
@@ -855,12 +861,15 @@ def _reference_welding_build(n: int, max_index: int, series_order: int | None) -
         theta = -(schwarzian(F.truncate(2 - n)) * q.truncate(0)).residue()
     else:
         theta = ZERO
-    return {
-        "e_coeff": -gamma,
-        "id_coeff": -(C * theta) * Fraction(1, 12) if not theta.is_zero else ZERO,
-        "d_a": d_a,
-        "d_abar": d_abar,
-    }
+    return ModeOperator(
+        mode=n,
+        bar=False,
+        max_index=max_index,
+        e_coeff=-gamma,
+        id_coeff=-(C * theta) * Fraction(1, 12) if not theta.is_zero else ZERO,
+        d_a=d_a,
+        d_abar=d_abar,
+    )
 
 
 @pytest.mark.parametrize("window", range(1, 13))

@@ -7,7 +7,6 @@ the library must match them to near machine precision.
 
 import csv
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -22,7 +21,6 @@ from loopcft.spectral import (
     annulus_schwarzian,
     bubble_mass,
     bubble_mass_limit,
-    gram_inverse_check,
     mobius_annulus,
     poisson_annulus,
     poisson_annulus_covariant,
@@ -277,17 +275,6 @@ def test_bubble_mass_nonnegative_on_configurations():
         amap = mobius_annulus(x0, r)
         for k in range(12):
             assert bubble_mass(amap, 2 * math.pi * k / 12) >= 0, (x0, r, k)
-
-
-# ---------------------------------------------------------------------------
-# exact Gram checks
-# ---------------------------------------------------------------------------
-
-
-def test_gram_inverse_check_reports():
-    assert gram_inverse_check(2, Fraction(1, 3), 3)["status"] == "identity"
-    assert gram_inverse_check(2, Fraction(1, 2), 3)["status"] == "singular"
-    assert gram_inverse_check(0, Fraction(5, 7), 3)["status"] == "identity"
 
 
 # ---------------------------------------------------------------------------
