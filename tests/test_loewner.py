@@ -360,9 +360,16 @@ def test_sampler_parameter_validation():
         sample_sle_driving(3.0, 0.0, 1e-2, seed=0)
 
 
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+def test_endpoint_is_the_sampled_driver_endpoint_bitwise(dt):
+    for seed in range(50):
+        want = sample_sle_driving(3.0, 1.0, dt, seed=seed).values[-1]
+        assert sle_driving_endpoints(3.0, 1.0, dt, [seed])[0].hex() == want.hex()
+
+
 @pytest.mark.parametrize("dt, workers", [(1e-3, None), (1e-4, 2)])
 def test_endpoint_batch_is_the_per_seed_endpoints_bitwise(monkeypatch, dt, workers):
-    seeds = range(160)
+    seeds = range(100, 160)
     if workers is None:
         assert loewner._workers(len(seeds) * round(1 / dt)) == 1
     else:
