@@ -14,10 +14,13 @@ data (:class:`StatePoly`) rather than reading it off monomial degrees.
 
 On a state the Euler and central terms act as one scalar polynomial,
 ``s = e_coeff * (2*lambda + N + Ntilde) + id_coeff``, memoized per total
-level.  :meth:`ModeOperator.apply` hands the derivation coefficients and
-``s`` to :meth:`CoeffPoly.first_order`, which sums every product term into
-one accumulator over one common denominator and reduces only the result:
-no per-generator derivative, product or sum is ever built.
+level in the prepared form the kernel reads.  :meth:`ModeOperator.apply`
+hands the operator's :class:`~loopcft.symbolic.Derivation`, built from
+``d_a`` and ``d_abar`` on the first ``apply`` or ``derive``, and ``s`` to
+:meth:`CoeffPoly.first_order`, which sums every product term into one
+accumulator over one common denominator and reduces only the result: no
+per-generator derivative, product or sum is ever built.  The window check
+reads the OR of the state's monomials that the kernel reads too.
 
 The central coefficient comes from the Schwarzian cocycle.  With
 ``q = -F**(n+1) / F'`` the deformation field pulled back to the z-plane,
@@ -48,12 +51,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .symbolic import (
     CC,
     LAMBDA,
     CoeffPoly,
+    Derivation,
     LaurentSeries,
     Partition,
     a as gen_a,
@@ -64,7 +69,7 @@ from .symbolic import (
     schwarzian,
     series_reversion,
 )
-from .symbolic.poly import _KIND_CC, _KIND_LAMBDA
+from .symbolic.poly import _KIND_CC, _KIND_LAMBDA, Prepared, _index_limit
 from .verma import central_charge, cocycle, kac_lambda
 
 __all__ = [
@@ -133,16 +138,19 @@ class StatePoly:
         return StatePoly(self.poly * factor, self.level)
 
     def __add__(self, other: "StatePoly") -> "StatePoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.level != other.level:
-            raise ValueError(f"cannot add states at levels {self.level} and {other.level}")
-        return StatePoly(self.poly + other.poly, self.level)
+        return self._combine(add, other)
 
     def __sub__(self, other: "StatePoly") -> "StatePoly":
-        return self + StatePoly(-other.poly, other.level)
+        return self._combine(sub, other)
+
+    def _combine(self, op, other: "StatePoly") -> "StatePoly":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return StatePoly(op(_ZERO, other.poly), other.level)
+        if self.level != other.level:
+            raise ValueError(f"cannot add states at levels {self.level} and {other.level}")
+        return StatePoly(op(self.poly, other.poly), self.level)
 
     def substitute(self, assignment) -> "StatePoly":
         return StatePoly(self.poly.substitute(assignment), self.level)
@@ -186,10 +194,13 @@ class ModeOperator:
     d_a: Mapping[int, CoeffPoly]
     d_abar: Mapping[int, CoeffPoly]
     provenance: str = field(compare=False, default="")
-    # the derivation part keyed by generator, zero coefficients dropped
-    _coeffs: dict = field(init=False, compare=False, repr=False)
-    # the scalar part at each total level N + Ntilde, filled on first use
+    # the derivation part prepared for CoeffPoly.first_order, built on first use
+    _derivation: Derivation | None = field(init=False, compare=False, repr=False, default=None)
+    # the prepared scalar part at each total level N + Ntilde, filled on first use
     _scalars: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+
+    # the dict fields make the generated hash fail; say so in the type
+    __hash__ = None
 
     def __post_init__(self):
         # zero coefficients are dropped, so equal operators have equal maps
@@ -197,21 +208,27 @@ class ModeOperator:
         d_abar = {m: c for m, c in self.d_abar.items() if not c.is_zero}
         object.__setattr__(self, "d_a", d_a)
         object.__setattr__(self, "d_abar", d_abar)
-        coeffs = {gen_a(m): c for m, c in d_a.items()}
-        coeffs.update((gen_abar(m), c) for m, c in d_abar.items())
-        object.__setattr__(self, "_coeffs", coeffs)
 
     @property
     def is_zero(self) -> bool:
         """True when the derivation, Euler and identity parts all vanish."""
-        return not self._coeffs and self.e_coeff.is_zero and self.id_coeff.is_zero
+        return not self.d_a and not self.d_abar and self.e_coeff.is_zero and self.id_coeff.is_zero
 
-    def _check_window(self, poly: CoeffPoly) -> None:
-        if poly.max_coefficient_index() > self.max_index:
+    def _act(self, poly: CoeffPoly, scalar: Prepared | None = None) -> CoeffPoly:
+        """The derivation plus ``scalar`` on a polynomial inside the window."""
+        reach = poly.reach()
+        if reach >= _index_limit(self.max_index):
             raise OperatorWindowError(
                 f"input reaches index {poly.max_coefficient_index()} but mode "
                 f"{self.mode} operator only covers indices up to {self.max_index}"
             )
+        derivation = self._derivation
+        if derivation is None:
+            coeffs = {gen_a(m): c for m, c in self.d_a.items()}
+            coeffs.update((gen_abar(m), c) for m, c in self.d_abar.items())
+            derivation = Derivation(coeffs)
+            object.__setattr__(self, "_derivation", derivation)
+        return poly.first_order(derivation, scalar, reach)
 
     def derive(self, poly: CoeffPoly) -> CoeffPoly:
         """The pure derivation part sum_g d_g * d/dg applied to a polynomial.
@@ -219,8 +236,7 @@ class ModeOperator:
         One pass of :meth:`CoeffPoly.first_order`: no per-generator
         temporaries, one reduction of the result.
         """
-        self._check_window(poly)
-        return poly.first_order(self._coeffs)
+        return self._act(poly)
 
     def apply(self, state: StatePoly) -> StatePoly:
         """The whole operator on a state, derivation and scalar part in one pass.
@@ -232,14 +248,13 @@ class ModeOperator:
         """
         if state.is_zero:
             return state
-        self._check_window(state.poly)
         n_left, n_right = state.level
         total = n_left + n_right
         scalar = self._scalars.get(total)
         if scalar is None:
-            scalar = self.e_coeff * (2 * _LAM + total) + self.id_coeff
+            scalar = (self.e_coeff * (2 * _LAM + total) + self.id_coeff).prepared()
             self._scalars[total] = scalar
-        out = state.poly.first_order(self._coeffs, scalar)
+        out = self._act(state.poly, scalar)
         if self.bar:
             new_level = (n_left, n_right - self.mode)
         else:

@@ -13,6 +13,7 @@ from .poly import (
     CC,
     LAMBDA,
     CoeffPoly,
+    Derivation,
     Generator,
     GradingError,
     a,
@@ -28,6 +29,7 @@ from .series import (
 
 __all__ = [
     "CoeffPoly",
+    "Derivation",
     "Generator",
     "GradingError",
     "a",

@@ -23,7 +23,11 @@ A first-order operator ``sum_g d_g * d/dg + s`` acts through ``first_order``,
 and a sum of products ``sum a * b`` is taken by ``sum_of_products``, each in
 one pass: every product term goes into one accumulator over one common
 denominator, and only the result is reduced.  One schoolbook loop serves
-both and ``__mul__``.
+both and ``__mul__``.  The operator comes prepared once as a
+``Derivation``: each coefficient's terms, denominator and reach, keyed by
+the bit offset of its generator's field, so a call ORs the state's
+monomials once and visits only the fields the two share, with no
+``Generator`` built or hashed.
 
 Only the public boundary decodes (memoized per monomial): ``terms()``, the
 constant accessors, ``generators()``, the grading queries, ``evaluate``,
@@ -49,6 +53,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping
 __all__ = [
     "Generator",
     "CoeffPoly",
+    "Derivation",
     "GradingError",
     "LAMBDA",
     "CC",
@@ -67,6 +72,9 @@ _KIND_NAMES = {_KIND_A: "a", _KIND_ABAR: "abar", _KIND_LAMBDA: "lambda", _KIND_C
 # The decoded (public) monomial: (kind, index, exponent) triples sorted by
 # (kind, index), all exponents > 0; the empty tuple is the constant monomial.
 Monomial = tuple[tuple[int, int, int], ...]
+# A polynomial as the first-order kernel reads it: ((packed monomial, numerator), ...),
+# the denominator, and the OR of the monomials (see CoeffPoly.prepared).
+Prepared = tuple[tuple[tuple[int, int], ...], int, int]
 
 _FIELD = 16
 _FIELD_MASK = (1 << _FIELD) - 1
@@ -194,9 +202,14 @@ def _generators_of(mono: int) -> tuple[Generator, ...]:
 
 
 @lru_cache(maxsize=None)
-def _fields_of(mono: int) -> tuple[tuple[Generator, int], ...]:
-    """The generators present, each with the bit offset of its field."""
-    return tuple((gen, _shift(gen.kind, gen.index)) for gen in _generators_of(mono))
+def _shifts_of(mono: int) -> tuple[int, ...]:
+    """The bit offsets of the generators present, in canonical order."""
+    return tuple(_shift(kind, index) for kind, index, _ in _decode(mono))
+
+
+def _index_limit(max_index: int) -> int:
+    """The least reach of a polynomial holding an a or abar index above ``max_index``."""
+    return 1 << 2 * _FIELD * (max_index + 1)
 
 
 def _mono_degree(mono: Monomial) -> int:
@@ -228,42 +241,41 @@ def _check_products(short: Iterable[int], long: Collection[int]) -> None:
 
 
 def _products(
-    left: Collection[tuple[int, int]],
-    right: dict[int, int],
-    bound: int,
-    out: dict[int, int] | None = None,
+    pairs: Iterable[tuple[Collection[tuple[int, int]], Collection[tuple[int, int]]]], bound: int
 ) -> dict[int, int]:
     """The schoolbook product loop: c1 * c2 summed at m1 + m2 over every term pair.
 
-    ``left`` holds (monomial, numerator) pairs.  ``bound`` is a reach of the
-    left monomials plus a reach of the right ones (each field at least the
-    largest exponent there); where it sets a guard bit every pair is checked
-    exactly, and an exponent past ``MAX_EXPONENT`` raises ``OverflowError``.
-    The sums go into ``out`` (zero sums are dropped), or into a fresh dict
-    when ``out`` is None.
+    Each (left, right) pair holds two collections of (monomial, numerator)
+    terms, and every pair's products go into one fresh dict (zero sums are
+    dropped).  ``bound`` is a reach of every left monomial plus a reach of
+    every right one (each field at least the largest exponent there); where
+    it sets a guard bit every pair is checked exactly, and an exponent past
+    ``MAX_EXPONENT`` raises ``OverflowError``.
     """
-    if bound & _GUARD:
-        _check_products((m for m, _ in left), right)
-    items = right.items()
-    if out is None:
-        if len(left) == 1:
+    out = None
+    for left, right in pairs:
+        if bound & _GUARD:
+            _check_products((m for m, _ in left), [m for m, _ in right])
+        if out is None and len(left) == 1:
             # one term meets distinct monomials, so nothing collides
             ((m1, c1),) = left
-            return {m1 + m2: c1 * c2 for m2, c2 in items}
-        out = {}
-    get = out.get
-    for m1, c1 in left:
-        for m2, c2 in items:
-            mono = m1 + m2
-            acc = get(mono)
-            if acc is None:
-                out[mono] = c1 * c2
-            else:
-                acc += c1 * c2
-                if acc:
-                    out[mono] = acc
+            out = {m1 + m2: c1 * c2 for m2, c2 in right}
+            continue
+        if out is None:
+            out = {}
+        get = out.get
+        for m1, c1 in left:
+            for m2, c2 in right:
+                mono = m1 + m2
+                acc = get(mono)
+                if acc is None:
+                    out[mono] = c1 * c2
                 else:
-                    del out[mono]
+                    acc += c1 * c2
+                    if acc:
+                        out[mono] = acc
+                    else:
+                        del out[mono]
     return out
 
 
@@ -282,6 +294,35 @@ def _reduced(nums: dict[int, int], den: int) -> "CoeffPoly":
             nums = {m: c // g for m, c in nums.items()}
             den //= g
     return _poly(nums, den)
+
+
+def _plus(x: "CoeffPoly", y: "CoeffPoly", sign: int) -> "CoeffPoly":
+    """x + sign * y, sign 1 or -1: y's terms summed into a copy of x over the common denominator."""
+    if not y._nums:
+        return x
+    if not x._nums:
+        return y if sign == 1 else -y
+    den = x._den
+    if y._den == den:
+        out = dict(x._nums)
+        factor = sign
+    else:
+        den = lcm(den, y._den)
+        mine, factor = den // x._den, sign * (den // y._den)
+        out = {m: c * mine for m, c in x._nums.items()}
+    get = out.get
+    for mono, coef in y._nums.items():
+        coef *= factor
+        acc = get(mono)
+        if acc is None:
+            out[mono] = coef
+        else:
+            acc += coef
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+    return _reduced(out, den)
 
 
 class CoeffPoly:
@@ -365,6 +406,10 @@ class CoeffPoly:
         # OR never carries across fields
         return _generators_of(reduce(or_, self._nums, 0))
 
+    def reach(self) -> int:
+        """The OR of the packed monomials: no monomial has a bit set above its top bit."""
+        return _reach(self._nums)
+
     def max_coefficient_index(self) -> int:
         """Largest index appearing among a/abar generators (0 if none)."""
         # the largest packed int holds the highest occupied field
@@ -388,31 +433,7 @@ class CoeffPoly:
             other = CoeffPoly.constant(other)
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        if not self._nums:
-            return other
-        if not other._nums:
-            return self
-        den = self._den
-        theirs = other._nums.items()
-        if other._den == den:
-            out = dict(self._nums)
-        else:
-            den = lcm(den, other._den)
-            mine, factor = den // self._den, den // other._den
-            out = {m: c * mine for m, c in self._nums.items()}
-            theirs = [(m, c * factor) for m, c in theirs]
-        get = out.get
-        for mono, coef in theirs:
-            acc = get(mono)
-            if acc is None:
-                out[mono] = coef
-            else:
-                acc += coef
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return _reduced(out, den)
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -424,7 +445,7 @@ class CoeffPoly:
             other = CoeffPoly.constant(other)
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        return self + (-other)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other: "CoeffPoly | int | Fraction") -> "CoeffPoly":
         return (-self) + other
@@ -444,7 +465,7 @@ class CoeffPoly:
         if len(shorter) > len(longer):
             shorter, longer = longer, shorter
         return _reduced(
-            _products(shorter.items(), longer, _reach(shorter) + _reach(longer)),
+            _products([(shorter.items(), longer.items())], _reach(shorter) + _reach(longer)),
             self._den * other._den,
         )
 
@@ -480,46 +501,50 @@ class CoeffPoly:
         return _reduced(out, self._den)
 
     def first_order(
-        self, coeffs: Mapping[Generator, "CoeffPoly"], scalar: "CoeffPoly | None" = None
+        self, derivation: "Derivation", scalar: Prepared | None = None, reach: int | None = None
     ) -> "CoeffPoly":
-        """The first-order operator sum_g coeffs[g] * d/dg + scalar, applied to self.
+        """The first-order operator ``derivation + scalar`` applied to self.
 
+        ``scalar`` is a polynomial in the prepared form of :meth:`prepared`.
         One pass, one reduction: a monomial m of exponent e in g, with
-        numerator c, meets every term (m', c') of coeffs[g] at m - unit_g + m'
-        with numerator c * e * c'; the scalar part puts c * c' at m + m'.
-        Everything is summed into one accumulator over the common denominator
-        (self's denominator times the lcm of the coefficients' denominators),
-        and only the result is reduced.  Generators absent from ``coeffs``
-        contribute nothing.  An exponent past ``MAX_EXPONENT`` raises
-        ``OverflowError`` as in ``__mul__``.
+        numerator c, meets every term (m', c') of g's coefficient at
+        m - unit_g + m' with numerator c * e * c'; the scalar part puts c * c'
+        at m + m'.  Only the generators present in both self and the
+        derivation are visited, found from the OR of self's monomials.
+        Everything is summed into one accumulator over one common
+        denominator and only the result is reduced.  An exponent past
+        ``MAX_EXPONENT`` raises ``OverflowError`` as in ``__mul__``.  A
+        caller that has taken :meth:`reach` already passes it in.
         """
         nums = self._nums
-        reach = _reach(nums)
-        parts: list[tuple[int, CoeffPoly]] = []
-        for gen, shift in _fields_of(reach):
-            coeff = coeffs.get(gen)
-            if coeff is not None and coeff._nums:
-                parts.append((shift, coeff))
-        if scalar is not None and scalar._nums:
-            parts.append((-1, scalar))
-        if not parts:
+        if reach is None:
+            reach = _reach(nums)
+        if scalar is not None and not scalar[0]:
+            scalar = None
+        den, bound = derivation.den, derivation.reach
+        if scalar is not None:
+            den, bound = lcm(den, scalar[1]), bound | scalar[2]
+        pairs = []
+        for shift in _shifts_of(reach & derivation.fields):
+            terms, part_den, _ = derivation.parts[shift]
+            unit, factor = 1 << shift, den // part_den
+            lowered = [
+                (m - unit, c * exp * factor)
+                for m, c in nums.items()
+                if (exp := m >> shift & MAX_EXPONENT)
+            ]
+            pairs.append((lowered, terms))
+        if scalar is not None:
+            factor = den // scalar[1]
+            pairs.append(([(m, c * factor) for m, c in nums.items()], scalar[0]))
+        if not pairs:
             return CoeffPoly.zero()
-        scale = lcm(*(coeff._den for _, coeff in parts))
-        out = None
-        for shift, coeff in parts:
-            factor = scale // coeff._den
-            if shift < 0:
-                sources = [(m, c * factor) for m, c in nums.items()]
-            else:
-                unit = 1 << shift
-                sources = []
-                for m, c in nums.items():
-                    exp = (m >> shift) & MAX_EXPONENT
-                    if exp:
-                        sources.append((m - unit, c * exp * factor))
-            # the derivative only lowers exponents, so self's reach bounds it
-            out = _products(sources, coeff._nums, reach + _reach(coeff._nums), out)
-        return _reduced(out, self._den * scale)
+        # lowering only lowers exponents, so self's reach bounds every source
+        return _reduced(_products(pairs, reach + bound), self._den * den)
+
+    def prepared(self) -> Prepared:
+        """``(terms, denominator, reach)``, the form ``first_order`` reads a coefficient in."""
+        return tuple(self._nums.items()), self._den, _reach(self._nums)
 
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple["CoeffPoly", "CoeffPoly"]]) -> "CoeffPoly":
@@ -540,14 +565,15 @@ class CoeffPoly:
         # one bound for every pair: the reach of all first factors plus that of all second ones
         bound = _reach(chain.from_iterable(x._nums for x, _ in live))
         bound += _reach(chain.from_iterable(y._nums for _, y in live))
-        out = None
+        pairs = []
         for x, y in live:
             shorter, longer = x._nums, y._nums
             if len(shorter) > len(longer):
                 shorter, longer = longer, shorter
             factor = den // (x._den * y._den)
             left = shorter.items() if factor == 1 else [(m, c * factor) for m, c in shorter.items()]
-            out = _products(left, longer, bound, out)
+            pairs.append((left, longer.items()))
+        out = _products(pairs, bound)
         return _reduced(out, den)
 
     def substitute(self, assignment: Mapping[Generator, Fraction | int]) -> "CoeffPoly":
@@ -690,6 +716,29 @@ class CoeffPoly:
 
     def __repr__(self) -> str:
         return f"CoeffPoly({self.canonical_text()})"
+
+
+class Derivation:
+    """sum_g coeffs[g] * d/dg, prepared once for :meth:`CoeffPoly.first_order`.
+
+    ``parts`` maps the bit offset of each generator's field to its nonzero
+    coefficient in prepared form (no polynomial holds a generator past the
+    packed range, so those are dropped); ``fields``, ``den`` and ``reach``
+    are the OR of those fields, the lcm of the denominators and the OR of
+    the reaches.
+    """
+
+    __slots__ = ("parts", "fields", "den", "reach")
+
+    def __init__(self, coeffs: Mapping[Generator, CoeffPoly]):
+        self.parts: dict[int, Prepared] = {}
+        for gen, coeff in coeffs.items():
+            shift = _shift(gen.kind, gen.index)
+            if shift is not None and coeff._nums:
+                self.parts[shift] = coeff.prepared()
+        self.fields = sum(_FIELD_MASK << shift for shift in self.parts)
+        self.den = lcm(*(den for _, den, _ in self.parts.values()))
+        self.reach = _reach(reach for _, _, reach in self.parts.values())
 
 
 def _weighted_degree(mono: int) -> tuple[int, int]:

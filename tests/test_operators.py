@@ -7,6 +7,7 @@ constraint solver that knows nothing about series and recovers the operator
 purely from the algebra it must satisfy.
 """
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from loopcft.symbolic import (
     CC,
     LAMBDA,
     CoeffPoly,
+    Derivation,
     Generator,
     LaurentSeries,
     a,
@@ -313,6 +315,11 @@ def _kernel_polys(draw, max_terms=4, exponents=st.integers(1, 3)):
     return CoeffPoly(terms)
 
 
+def _first_order(poly, coeffs, scalar):
+    """The kernel on the prepared forms of a generator-keyed map and a scalar."""
+    return poly.first_order(Derivation(coeffs), None if scalar is None else scalar.prepared())
+
+
 def _first_order_by_parts(poly, coeffs, scalar):
     out = ZERO
     for gen, coeff in coeffs.items():
@@ -330,7 +337,7 @@ def _first_order_by_parts(poly, coeffs, scalar):
 )
 def test_first_order_matches_derivative_products_and_sums(poly, coeffs, scalar):
     want = _first_order_by_parts(poly, coeffs, scalar)
-    got = poly.first_order(coeffs, scalar)
+    got = _first_order(poly, coeffs, scalar)
     assert got == want
     assert got.canonical_text() == want.canonical_text()
 
@@ -350,9 +357,9 @@ def test_first_order_overflows_exactly_when_the_products_do(poly, coeffs, scalar
         want = _first_order_by_parts(poly, coeffs, scalar)
     except OverflowError:
         with pytest.raises(OverflowError):
-            poly.first_order(coeffs, scalar)
+            _first_order(poly, coeffs, scalar)
     else:
-        assert poly.first_order(coeffs, scalar) == want
+        assert _first_order(poly, coeffs, scalar) == want
 
 
 def test_apply_raises_past_the_exponent_field():
@@ -379,6 +386,110 @@ def test_apply_refuses_states_beyond_window():
         op.apply(wide)
     with pytest.raises(OperatorWindowError):
         op.derive(wide.poly)
+
+
+def _window_message(op, index):
+    return (
+        f"input reaches index {index} but mode {op.mode} operator "
+        f"only covers indices up to {op.max_index}"
+    )
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 5])
+def test_apply_and_derive_accept_exactly_the_window(window):
+    scalars = LAM**3 * C + Fraction(2, 3) * C**2 - LAM
+    for op in (build_mode_operator(-1, max_index=window), build_mode_operator(2, True, window)):
+        for gen in (a, abar):
+            top = CoeffPoly.generator(gen(window))
+            inside = StatePoly(top * top + top * scalars, (2 * window, 0) if gen is a else (0, 2 * window))
+            op.apply(inside)
+            op.derive(inside.poly)
+            beyond = CoeffPoly.generator(gen(window + 1)) * top
+            state = StatePoly(beyond, (2 * window + 1, 0) if gen is a else (0, 2 * window + 1))
+            message = re.escape(_window_message(op, window + 1))
+            with pytest.raises(OperatorWindowError, match=message):
+                op.apply(state)
+            with pytest.raises(OperatorWindowError, match=message):
+                op.derive(beyond)
+        # lambda and c sit below every index field
+        for poly in (scalars, LAM**5 * C, ONE):
+            state = StatePoly(poly, (0, 0))
+            assert op.apply(state).poly == _apply_by_parts(op, state)
+        for poly in (scalars, LAM**MAX_EXPONENT, C**MAX_EXPONENT, ONE):
+            assert op.derive(poly).is_zero
+
+
+def test_restricted_apply_matches_a_direct_build_inside_its_window():
+    wide = build_mode_operator(-2, max_index=6)
+    for narrow in (1, 3, 4):
+        view, direct = wide.restricted(narrow), build_mode_operator(-2, max_index=narrow)
+        for total in range(1, narrow + 1):
+            for left in range(total + 1):
+                for mono in _monomials_of_bidegree(left, total - left):
+                    state = fresh_state(mono * (LAM + 1))
+                    assert view.apply(state) == direct.apply(state), (narrow, mono)
+                    assert view.derive(mono) == direct.derive(mono), (narrow, mono)
+        beyond = fresh_state(CoeffPoly.generator(abar(narrow + 1)))
+        with pytest.raises(OperatorWindowError, match=re.escape(_window_message(view, narrow + 1))):
+            view.apply(beyond)
+        assert not wide.apply(beyond).is_zero
+
+
+def test_mode_operators_are_unhashable():
+    op = build_mode_operator(1, max_index=2)
+    with pytest.raises(TypeError):
+        hash(op)
+    with pytest.raises(TypeError):
+        {op}
+
+
+def test_filled_caches_leave_operators_equal_to_fresh_builds():
+    for n, bar in ((-3, False), (0, True), (2, False)):
+        used = build_mode_operator(n, bar, max_index=5)
+        for state in (fresh_state(A1 * AB2), fresh_state(A3), vacuum_state()):
+            used.apply(state)
+        used.derive(A2 * AB1)
+        assert used._derivation is not None and used._scalars
+        fresh = build_mode_operator(n, bar, max_index=5)
+        assert used == fresh and fresh == used
+        assert used.restricted(3) == fresh.restricted(3)
+        assert not used != fresh
+
+
+def _apply_by_parts(op: ModeOperator, state: StatePoly) -> CoeffPoly:
+    """Oracle: sum_g d_g * ds/dg + (e * (2 lambda + N + Ntilde) + id) * s by derivative, * and +."""
+    poly = state.poly
+    out = ZERO
+    for m, coeff in op.d_a.items():
+        out = out + coeff * poly.derivative(a(m))
+    for m, coeff in op.d_abar.items():
+        out = out + coeff * poly.derivative(abar(m))
+    n_left, n_right = state.level
+    return out + (op.e_coeff * (2 * LAM + (n_left + n_right)) + op.id_coeff) * poly
+
+
+def test_apply_matches_the_by_parts_sum_on_every_operator_kind():
+    table = OperatorTable(max_index=6)
+    ops = [table.mode_operator(n, bar) for bar in (False, True) for n in range(-4, 5)]
+    ops += [
+        table.L(-2).mirrored(),
+        table.Lbar(-3).restricted(4),
+        table.L(1).scaled(Fraction(-5, 3)),
+        commutator_parts(table.L(-1), table.Lbar(2)),
+    ]
+    states = [
+        fresh_state(mono)
+        for total in range(5)
+        for left in range(total + 1)
+        for mono in _monomials_of_bidegree(left, total - left)
+    ]
+    assert len(states) == 38
+    for op in ops:
+        for state in states:
+            if state.poly.max_coefficient_index() > op.max_index:
+                continue
+            want = _apply_by_parts(op, state)
+            assert op.apply(state).poly.canonical_text() == want.canonical_text(), (op, state)
 
 
 # ---------------------------------------------------------------------------

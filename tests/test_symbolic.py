@@ -162,6 +162,32 @@ def test_kernel_matches_sympy_ring(p, q, gen, x, y):
     assert _to_sympy(p.substitute(values), R, QQ, gens) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys(), st.one_of(mixed_polys(), st.integers(-5, 5), mixed_fractions_st))
+def test_subtraction_is_the_sum_with_the_negation(p, q):
+    want = p + (-(q if isinstance(q, CoeffPoly) else CoeffPoly.constant(q)))
+    got = p - q
+    assert got == want
+    assert got.canonical_text() == want.canonical_text()
+    assert (p - p).canonical_text() == "0/1"
+
+
+def test_subtraction_edge_cases():
+    x = Fraction(1, 6) * A1 - Fraction(3, 4) * LAM * AB1 + 2
+    zero = CoeffPoly.zero()
+    # equal operands, built apart, cancel to the zero polynomial
+    assert (x - (2 + Fraction(1, 6) * A1 - Fraction(3, 4) * AB1 * LAM)) == zero
+    assert (x - x).canonical_text() == "0/1"
+    # unrelated denominators meet over their lcm
+    y = Fraction(2, 15) * A1 + Fraction(5, 7) * C - Fraction(3, 4) * LAM * AB1
+    assert (x - y).canonical_text() == (x + (-y)).canonical_text()
+    assert x - y == Fraction(1, 30) * A1 - Fraction(5, 7) * C + 2
+    assert x - 2 == Fraction(1, 6) * A1 - Fraction(3, 4) * LAM * AB1
+    assert x - Fraction(13, 6) == x + Fraction(-13, 6)
+    assert x - zero == x and zero - x == -x and zero - zero == zero
+    assert 3 - x == -x + 3
+
+
 def test_exponent_field_boundary():
     top = CoeffPoly.generator(a(3), MAX_EXPONENT)
     assert dict(top.terms()) == {((a(3).kind, 3, MAX_EXPONENT),): 1}
