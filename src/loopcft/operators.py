@@ -459,17 +459,29 @@ def _inverse_map(order: int) -> LaurentSeries:
     return series_reversion(_coefficient_map(order))
 
 
-def varpi(n: int, order: int = 12) -> CoeffPoly:
-    """Euler coefficient of mode n via the inverse-map residue formula."""
+@lru_cache(maxsize=None)
+def _log_derivative_square(order: int) -> LaurentSeries:
+    """(G'/G)^2, the mode-free factor of the :func:`varpi` integrand."""
     G = _inverse_map(order)
     lg = G.derivative() * G.inverse()
-    integrand = (lg * lg).shift(n + 1)
+    return lg * lg
+
+
+@lru_cache(maxsize=None)
+def _inverse_schwarzian(order: int) -> LaurentSeries:
+    """S(G), the mode-free factor of the :func:`vartheta` integrand."""
+    return schwarzian(_inverse_map(order))
+
+
+def varpi(n: int, order: int = 12) -> CoeffPoly:
+    """Euler coefficient of mode n via the inverse-map residue formula."""
+    integrand = _log_derivative_square(order).shift(n + 1)
     return -integrand.residue() * Fraction(1, 2)
 
 
 def vartheta(n: int, order: int = 12) -> CoeffPoly:
     """Central-direction coefficient of mode n via the Schwarzian residue."""
-    integrand = schwarzian(_inverse_map(order)).shift(n + 1)
+    integrand = _inverse_schwarzian(order).shift(n + 1)
     return -integrand.residue()
 
 

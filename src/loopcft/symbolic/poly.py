@@ -30,7 +30,7 @@ monomials once and visits only the fields the two share, with no
 ``Generator`` built or hashed.
 
 Only the public boundary decodes (memoized per monomial): ``terms()``, the
-constant accessors, ``generators()``, the grading queries, ``evaluate``,
+constant accessors, the grading queries, ``evaluate``,
 ``map_coefficients`` and the canonical text.  There a coefficient is a
 ``fractions.Fraction`` and a monomial is a tuple of ``(kind, index,
 exponent)`` triples in the canonical generator order, fixed once and for
@@ -194,11 +194,6 @@ def _decode(mono: int) -> Monomial:
     if (mono >> _FIELD) & _FIELD_MASK:
         right.append((_KIND_CC, 0, (mono >> _FIELD) & _FIELD_MASK))
     return tuple(left + right)
-
-
-@lru_cache(maxsize=None)
-def _generators_of(mono: int) -> tuple[Generator, ...]:
-    return tuple(Generator(kind, index) for kind, index, _ in _decode(mono))
 
 
 @lru_cache(maxsize=None)
@@ -396,15 +391,6 @@ class CoeffPoly:
         if self._nums.keys() <= {0}:
             return self.constant_part()
         raise ValueError(f"not a constant polynomial: {self.canonical_text()}")
-
-    def generators(self) -> set[Generator]:
-        return set(self.generators_in_order())
-
-    def generators_in_order(self) -> tuple[Generator, ...]:
-        """The generators present, in canonical order (a_m, abar_m, lambda, c)."""
-        # a field of the OR is nonzero iff some monomial uses that generator;
-        # OR never carries across fields
-        return _generators_of(reduce(or_, self._nums, 0))
 
     def reach(self) -> int:
         """The OR of the packed monomials: no monomial has a bit set above its top bit."""

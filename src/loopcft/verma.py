@@ -15,6 +15,13 @@ ranks and kernels carry no numerical noise.
 The central cocycle value is itself computed from a contour residue of
 polynomial vector fields rather than hardcoded, and the straightening
 routine consumes that computation.
+
+A Gram entry <k|k'> moves the first raising mode L_{max k} onto the basis
+vector of k' and pairs the result with the entries of k minus its largest
+part, one level down; both the basis actions and the entries are
+memoized, and :func:`gram_matrix` straightens only its upper triangle
+because the form is symmetric.  :func:`normal_order`, which straightens
+the whole word, is the oracle the tests hold the entries against.
 """
 
 from __future__ import annotations
@@ -245,28 +252,46 @@ def normal_order(word: Sequence[int]) -> VermaVector:
 
 @lru_cache(maxsize=None)
 def gram_entry(k: Parts, kprime: Parts) -> CoeffPoly:
-    """<basis(k), basis(kprime)> as a polynomial in the weight and charge."""
-    word = raising_word(k) + lowering_word(kprime)
-    vector = normal_order(word)
-    scalar = vector.coefficient(())
-    if sum(k) == sum(kprime):
-        stray = [parts for parts, _ in vector.terms() if parts != ()]
-        if stray:
-            raise AssertionError(f"pairing left non-scalar terms {stray}")
-    return scalar
+    """<basis(k), basis(kprime)> as a polynomial in the weight and charge.
+
+    The first raising mode, L_{max k}, moves onto basis(kprime):
+
+        <k|k'> = sum_{k''} [L_{max k} e_{k'}]_{k''} <k minus max k | k''>
+
+    one memoized basis action and one sum of products against memoized
+    entries one level down.  Entries across levels are zero.
+    """
+    if sum(k) != sum(kprime):
+        return _ZERO
+    if not k:
+        return CoeffPoly.one()
+    top, rest = k[-1], k[:-1]
+    image = _apply_mode_to_basis(top, kprime)
+    level = sum(rest)
+    stray = [parts for parts, _ in image.terms() if sum(parts) != level]
+    if stray:
+        raise AssertionError(
+            f"pairing {k} with {kprime}: L_{top} e{list(kprime)} left terms "
+            f"off level {level}: {stray}"
+        )
+    return CoeffPoly.sum_of_products(
+        (coeff, gram_entry(rest, parts)) for parts, coeff in image.terms()
+    )
 
 
 @lru_cache(maxsize=None)
 def gram_matrix(level: int) -> tuple[tuple[CoeffPoly, ...], ...]:
-    """The symbolic Gram matrix at a level, rows/cols in partition basis order."""
-    basis = partitions_of(level)
-    rows = []
-    for ki in basis:
-        row = []
-        for kj in basis:
-            row.append(gram_entry(ki.parts, kj.parts))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """The symbolic Gram matrix at a level, rows/cols in partition basis order.
+
+    The form is symmetric, so only the upper triangle is straightened and
+    the lower one mirrors it.
+    """
+    basis = [p.parts for p in partitions_of(level)]
+    rows = [[_ZERO] * len(basis) for _ in basis]
+    for i, ki in enumerate(basis):
+        for j in range(i, len(basis)):
+            rows[i][j] = rows[j][i] = gram_entry(ki, basis[j])
+    return tuple(tuple(row) for row in rows)
 
 
 def gram_matrix_at(

@@ -195,7 +195,8 @@ def _derive_per_generator(op: ModeOperator, poly: CoeffPoly) -> CoeffPoly:
             f"{op.mode} operator only covers indices up to {op.max_index}"
         )
     out = ZERO
-    for gen in poly.generators_in_order():
+    present = {Generator(kind, index) for mono, _ in poly.terms() for kind, index, _ in mono}
+    for gen in sorted(present, key=lambda g: (g.kind, g.index)):
         if gen.kind == _KIND_A:
             coeff = op.d_a.get(gen.index)
         elif gen.kind == _KIND_ABAR:

@@ -13,7 +13,6 @@ from loopcft.symbolic import (
     CC,
     LAMBDA,
     CoeffPoly,
-    Generator,
     GradingError,
     InsufficientOrderError,
     LaurentSeries,
@@ -193,7 +192,9 @@ def test_exponent_field_boundary():
     assert dict(top.terms()) == {((a(3).kind, 3, MAX_EXPONENT),): 1}
     assert (CoeffPoly.generator(a(3), MAX_EXPONENT - 1) * A3) == top
     # a neighbouring field is untouched by the full one
-    assert (top * A2 * AB3).generators() == {a(2), a(3), abar(3)}
+    assert dict((top * A2 * AB3).terms()) == {
+        ((a(2).kind, 2, 1), (a(3).kind, 3, MAX_EXPONENT), (abar(3).kind, 3, 1)): 1
+    }
     assert top.derivative(a(3)) == MAX_EXPONENT * CoeffPoly.generator(a(3), MAX_EXPONENT - 1)
     with pytest.raises(OverflowError):
         top * A3  # noqa: B018 - the product itself must raise
@@ -241,17 +242,22 @@ def wide_polys(draw, max_terms=5):
 
 
 @given(wide_polys())
-def test_generators_are_the_union_over_terms(p):
-    want = {Generator(kind, index) for mono, _ in p.terms() for kind, index, _ in mono}
-    assert p.generators() == want
-    assert p.generators_in_order() == tuple(sorted(want, key=lambda g: (g.kind, g.index)))
+def test_terms_list_generators_in_canonical_order(p):
+    for mono, _ in p.terms():
+        slots = [(kind, index) for kind, index, _ in mono]
+        assert slots == sorted(set(slots))
+        assert all(exponent >= 1 for _, _, exponent in mono)
 
 
-def test_generators_of_zero_and_constants():
-    for p in (CoeffPoly.zero(), CoeffPoly.one(), CoeffPoly.constant(Fraction(-3, 7))):
-        assert p.generators() == set()
-        assert p.generators_in_order() == ()
-    assert (A3 * AB1 + LAM - 2).generators_in_order() == (a(3), abar(1), LAMBDA)
+def test_terms_of_zero_and_constants():
+    assert list(CoeffPoly.zero().terms()) == []
+    for value in (1, Fraction(-3, 7)):
+        assert list(CoeffPoly.constant(value).terms()) == [((), value)]
+    assert {mono for mono, _ in (A3 * AB1 + LAM - 2).terms()} == {
+        ((a(3).kind, 3, 1), (abar(1).kind, 1, 1)),
+        ((LAMBDA.kind, 0, 1),),
+        (),
+    }
 
 
 @given(mixed_polys())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcft import verma
 from loopcft.symbolic import CC, LAMBDA, CoeffPoly, partition_count, partitions_of
 from loopcft.verma import (
     VermaVector,
@@ -20,7 +21,9 @@ from loopcft.verma import (
     kac_determinant,
     kac_determinant_at,
     kac_lambda,
+    lowering_word,
     normal_order,
+    raising_word,
     singular_vectors,
     vacuum,
 )
@@ -94,18 +97,36 @@ def test_gram_goldens():
 
 
 def test_gram_is_symmetric_up_to_level_6():
+    """<k|k'> = <k'|k>: the recursion reaches the two along different paths."""
     for level in range(7):
-        g = gram_matrix(level)
-        n = len(g)
-        assert n == partition_count(level)
-        for i in range(n):
-            for j in range(i):
-                assert g[i][j] == g[j][i], (level, i, j)
+        basis = [p.parts for p in partitions_of(level)]
+        assert len(basis) == partition_count(level)
+        for i, k in enumerate(basis):
+            for kprime in basis[:i]:
+                assert gram_entry(k, kprime) == gram_entry(kprime, k), (k, kprime)
+
+
+def test_gram_entries_match_full_straightening_up_to_level_7():
+    """Differential test of the first-mode recursion against normal_order."""
+    for level in range(8):
+        basis = [p.parts for p in partitions_of(level)]
+        for k in basis:
+            for kprime in basis:
+                vector = normal_order(raising_word(k) + lowering_word(kprime))
+                assert [parts for parts, _ in vector.terms() if parts] == [], (k, kprime)
+                assert gram_entry(k, kprime) == vector.coefficient(()), (k, kprime)
 
 
 def test_gram_entries_vanish_across_levels():
     assert gram_entry((1,), (2,)) == CoeffPoly.zero()
     assert gram_entry((), (1, 1)) == CoeffPoly.zero()
+
+
+def test_gram_entry_names_the_pair_when_straightening_leaves_its_level(monkeypatch):
+    off_level = VermaVector({(1,): CoeffPoly.one(), (2,): CoeffPoly.one()})
+    monkeypatch.setattr(verma, "_apply_mode_to_basis", lambda n, parts: off_level)
+    with pytest.raises(AssertionError, match=r"pairing \(1, 2\) with \(3,\).*\[\(2,\)\]"):
+        gram_entry.__wrapped__((1, 2), (3,))
 
 
 def test_central_charge_family():
