@@ -261,6 +261,7 @@ def gram_entry(k: Parts, kprime: Parts) -> CoeffPoly:
     one memoized basis action and one sum of products against memoized
     entries one level down.  Entries across levels are zero.
     """
+    k, kprime = partition_parts(k), partition_parts(kprime)
     if sum(k) != sum(kprime):
         return _ZERO
     if not k:

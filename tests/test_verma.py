@@ -122,6 +122,14 @@ def test_gram_entries_vanish_across_levels():
     assert gram_entry((), (1, 1)) == CoeffPoly.zero()
 
 
+def test_gram_entry_reads_parts_in_any_order():
+    want = normal_order(raising_word((1, 2)) + lowering_word((1, 1, 1))).coefficient(())
+    assert gram_entry((2, 1), (1, 1, 1)) == want
+    assert gram_entry((1, 2), (1, 1, 1)) == want
+    assert gram_entry((1, 1, 1), (2, 1)) == want
+    assert gram_entry(partitions_of(3)[1], partitions_of(3)[0]) == want
+
+
 def test_gram_entry_names_the_pair_when_straightening_leaves_its_level(monkeypatch):
     off_level = VermaVector({(1,): CoeffPoly.one(), (2,): CoeffPoly.one()})
     monkeypatch.setattr(verma, "_apply_mode_to_basis", lambda n, parts: off_level)
