@@ -28,7 +28,10 @@ The central coefficient comes from the Schwarzian cocycle.  With
 the inverse map G turns the inverse-map residue -res_w[S(G) w^(n+1)] into
 this z-plane residue, so the build never reverses a series.  The residue
 formulas (:func:`varpi`, :func:`vartheta`) keep the inverse-map form as an
-independent cross-check.
+independent cross-check.  For mode n they read G below w^o with
+o = max(4, 2 - n): (G'/G)^2 and S(G) are reliable below w^(o-3), which
+takes in the w^(-n-2) coefficient that is the residue, and S(G) needs
+o >= 4 for the three coefficients of G it reads.
 
 :class:`ModeOperator` is the one carrier of this first-order data.  The
 welding build, a bracket (:func:`commutator_parts`) and a bracket's
@@ -69,7 +72,7 @@ from .symbolic import (
     schwarzian,
     series_reversion,
 )
-from .symbolic.poly import _KIND_CC, _KIND_LAMBDA, Prepared, _index_limit
+from .symbolic.poly import Prepared, _index_limit
 from .verma import central_charge, cocycle, kac_lambda
 
 __all__ = [
@@ -473,15 +476,15 @@ def _inverse_schwarzian(order: int) -> LaurentSeries:
     return schwarzian(_inverse_map(order))
 
 
-def varpi(n: int, order: int = 12) -> CoeffPoly:
+def varpi(n: int) -> CoeffPoly:
     """Euler coefficient of mode n via the inverse-map residue formula."""
-    integrand = _log_derivative_square(order).shift(n + 1)
+    integrand = _log_derivative_square(max(4, 2 - n)).shift(n + 1)
     return -integrand.residue() * Fraction(1, 2)
 
 
-def vartheta(n: int, order: int = 12) -> CoeffPoly:
+def vartheta(n: int) -> CoeffPoly:
     """Central-direction coefficient of mode n via the Schwarzian residue."""
-    integrand = _inverse_schwarzian(order).shift(n + 1)
+    integrand = _inverse_schwarzian(max(4, 2 - n)).shift(n + 1)
     return -integrand.residue()
 
 
@@ -727,14 +730,14 @@ def state_family_residuals(
     there.  An empty dict certifies that the polynomial vanishes identically
     along the family.
     """
-    top = {_KIND_LAMBDA: 0, _KIND_CC: 0}
+    top = {LAMBDA.kind: 0, CC.kind: 0}
     for mono, _ in poly.terms():
         for kind, _, exp in mono:
             if kind in top:
                 top[kind] = max(top[kind], exp)
     family = [
         {LAMBDA: kac_lambda(r, s, kappa), CC: central_charge(kappa)}
-        for kappa in range(1, 2 * (top[_KIND_LAMBDA] + top[_KIND_CC]) + 2)
+        for kappa in range(1, 2 * (top[LAMBDA.kind] + top[CC.kind]) + 2)
     ]
     samples = [dict(poly.substitute(point).terms()) for point in family]
     bodies = dict.fromkeys(body for sample in samples for body in sample)

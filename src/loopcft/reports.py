@@ -355,7 +355,8 @@ def suite_commutators(cfg: RunConfig, table: OperatorTable | None = None) -> Rep
 
 
 def _gram_window(cfg: RunConfig) -> int:
-    return max(2 * cfg.level, 2)
+    # pairings up to level N read only a_1 .. a_N
+    return max(cfg.level, 1)
 
 
 def suite_gram(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
@@ -463,7 +464,8 @@ def suite_kac(cfg: RunConfig) -> Report:
 
 
 def _singular_window(cfg: RunConfig) -> int:
-    return max(2 * cfg.level, 6)
+    # the suite applies only L(-1) and L(-2) to the vacuum
+    return 2
 
 
 def suite_singular(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
@@ -723,19 +725,20 @@ def report_all(cfg: RunConfig) -> Report:
     """
     kappa_in_range(cfg, "reflection")
     merged = Report("all", cfg.params())
-    windows = (_commutators_window, _gram_window, _singular_window, _operators_window)
-    table = OperatorTable(max_index=max(window(cfg) for window in windows))
-    for suite, shares_table in (
-        (suite_commutators, True),
-        (suite_gram, True),
-        (suite_kac, False),
-        (suite_singular, True),
-        (suite_operators, True),
-        (suite_reflection, False),
-        (suite_bubble, False),
-        (suite_loewner, False),
-    ):
-        part = suite(cfg, table) if shares_table else suite(cfg)
+    # each suite with its operator window, None for the suites that take no table
+    suites = (
+        (suite_commutators, _commutators_window),
+        (suite_gram, _gram_window),
+        (suite_kac, None),
+        (suite_singular, _singular_window),
+        (suite_operators, _operators_window),
+        (suite_reflection, None),
+        (suite_bubble, None),
+        (suite_loewner, None),
+    )
+    table = OperatorTable(max_index=max(window(cfg) for _, window in suites if window))
+    for suite, window in suites:
+        part = suite(cfg, table) if window else suite(cfg)
         for check in part.checks:
             merged.checks.append(replace(check, name=f"{part.suite}: {check.name}"))
     return merged

@@ -15,22 +15,25 @@ The propagation rules, for inputs with valuations ``v`` and orders ``o``:
 
 * add/sub: ``min(o1, o2)``
 * mul: ``min(o1 + v2, o2 + v1)``
-* multiplicative inverse: ``o - 2v`` (lowest coefficient must be a nonzero
-  rational constant, the only units of the coefficient ring)
-* power ``k``: ``o + (k-1)v``, for negative ``k`` too (same unit rule)
+* power ``k``: ``o + (k-1)v``; for negative ``k`` the lowest coefficient
+  must be a nonzero rational constant, the only units of the coefficient
+  ring, and the multiplicative inverse is ``k = -1`` with order ``o - 2v``
 * derivative: ``o - 1``
-* composition ``f(g)`` (``g`` with valuation >= 1): ``min(o_f * v_g, o_g)``
 * reversion: same order as the input
 
-A product coefficient, and each step of the inverse's recursion, is one
+A product coefficient, and each step of the power recurrence, is one
 Cauchy sum taken by ``CoeffPoly.sum_of_products``: one accumulator and one
 reduction per output coefficient, not a product and a sum per term pair.
 
-Positive powers are taken by binary powering.  A negative power k of
-``lead * z^v * (1 + u)`` comes from J.C.P. Miller's recurrence (Knuth,
-TAOCP Vol. 2, 4.7): g = (1 + u)^k has g_0 = 1 and
-g_j = (1/j) sum_{i=1..j} ((k+1) i - j) u_i g_{j-i}, one fused sum per
-coefficient, with no inverse and no series product.
+Positive powers are taken by binary powering.  Every negative power k of
+``lead * z^v * (1 + u)``, the inverse k = -1 among them, comes from
+J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): g = (1 + u)^k has
+g_0 = 1 and g_j = (1/j) sum_{i=1..j} ((k+1) i - j) u_i g_{j-i}, one fused
+sum per coefficient, with no series product.
+
+Reversion is Lagrange inversion (ibid.) through the same recurrence: the
+compositional inverse of f = z + ... is g = sum_k b_k z^k with
+b_k = (1/k) [z^(k-1)] (f/z)^(-k).
 """
 
 from __future__ import annotations
@@ -253,30 +256,7 @@ class LaurentSeries:
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse; the lowest coefficient must be a rational unit."""
-        lead_const = self._unit_lead()
-        v = self.valuation
-        inv_lead = Fraction(1) / lead_const
-        if len(self.coeffs) == 1:
-            # a pure monomial inverts exactly
-            order = self.order if self.order == _INF else self.order - 2 * v
-            return LaurentSeries.monomial(-v, inv_lead, None if order == _INF else order)
-        if self.order == _INF:
-            raise InsufficientOrderError(
-                "inverse of an exact multi-term series is an infinite object; truncate() first"
-            )
-        order = self.order - 2 * v
-        rel_len = int(self.order - v)  # reliable relative powers 0 .. rel_len-1
-        if rel_len <= 0:
-            return LaurentSeries.zero(order)
-        # write self = lead * z^v * (1 + u); solve (1 + u) * w = 1 by recursion
-        u = [CoeffPoly.zero()] * rel_len
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            if i < rel_len:
-                u[i] = c * inv_lead
-        w: list[CoeffPoly] = [CoeffPoly.one()] + [CoeffPoly.zero()] * (rel_len - 1)
-        for k in range(1, rel_len):
-            w[k] = -CoeffPoly.sum_of_products((u[j], w[k - j]) for j in range(1, k + 1))
-        return LaurentSeries(-v, [c * inv_lead for c in w], order)
+        return self._negative_power(-1)
 
     def __pow__(self, n: int) -> "LaurentSeries":
         if n == 0:
@@ -301,7 +281,7 @@ class LaurentSeries:
         With self = lead * z^v * (1 + sum u_j z^j), the series g = (1 + u)**alpha
         satisfies g_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) u_j g_{k-j}, one
         fused sum per coefficient.  Valuation v * alpha and order
-        o + (alpha - 1) v are those of the inverse raised to -alpha.
+        o + (alpha - 1) v follow the power rule.
         """
         lead_const = self._unit_lead()
         v = self.valuation
@@ -337,34 +317,6 @@ class LaurentSeries:
     def residue(self) -> CoeffPoly:
         """The coefficient of z**-1 (raises if that power is unreliable)."""
         return self.coefficient(-1)
-
-    def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
-        """self(inner(z)) for an inner series of valuation >= 1.
-
-        The outer series must be a Taylor series (valuation >= 0); negative
-        outer powers of a general composite are not needed in this package
-        and are rejected rather than guessed.
-        """
-        if not self.is_zero and self.valuation < 0:
-            raise ValueError("composition with a Laurent (negative-valuation) outer series")
-        vg = inner.valuation if not inner.is_zero else inner.order
-        if vg < 1:
-            raise ValueError("inner series of a composition must have valuation >= 1")
-        outer_reach = _INF if self.order == _INF else self.order * vg
-        order = min(outer_reach, inner.order)
-        result = LaurentSeries.zero(order)
-        if self.is_zero:
-            return result
-        power = LaurentSeries.monomial(0, 1, None)  # inner**0
-        power_exp = 0
-        for p, c in self.coefficients():
-            while power_exp < p:
-                power = power * inner
-                if order != _INF and power.order > order:
-                    power = power.truncate(order)
-                power_exp += 1
-            result = result + power.scale(c)
-        return result.truncate(order) if result.order > order else result
 
     def map_coefficients(self, fn) -> "LaurentSeries":
         if self.is_zero:
@@ -415,11 +367,9 @@ def series_reversion(f: LaurentSeries) -> LaurentSeries:
             "reversion of an exact series is an infinite object; truncate() first"
         )
     order = int(f.order)
-    # g = z + sum b_k z^k determined coefficient by coefficient:
-    # 0 = b_k + [z^k] f(g_{<k}) for every k >= 2.
-    coeffs: list[CoeffPoly] = [CoeffPoly.one()]
-    for k in range(2, order):
-        g_partial = LaurentSeries(1, coeffs, k + 1)
-        candidate = f.truncate(k + 1).compose(g_partial)
-        coeffs.append(-candidate.coefficient(k))
+    # b_k reads (f/z)^(-k) below z^k only, so f/z is cut there first
+    body = f.shift(-1)
+    coeffs = [
+        (body.truncate(k) ** -k).coefficient(k - 1) * Fraction(1, k) for k in range(1, order)
+    ]
     return LaurentSeries(1, coeffs, order)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcft import operators
+from loopcft import operators, reports
 from loopcft.operators import (
     ModeOperator,
     OperatorTable,
@@ -37,7 +37,7 @@ from loopcft.operators import (
     _coefficient_map,
     _welding_build,
 )
-from loopcft.reports import RunConfig, report_all
+from loopcft.reports import RunConfig, report_all, suite_gram, suite_operators, suite_singular
 from loopcft.symbolic import (
     CC,
     LAMBDA,
@@ -128,8 +128,8 @@ def test_mode_minus_two_vacuum_anchor(table):
 def test_scalar_coefficients_match_residue_route(table):
     for n in range(-4, 5):
         op = table.L(n)
-        assert op.e_coeff == -varpi(n, 14), n
-        theta = vartheta(n, 14)
+        assert op.e_coeff == -varpi(n), n
+        theta = vartheta(n)
         assert op.id_coeff == -(C * theta) * Fraction(1, 12), n
 
 
@@ -1054,3 +1054,27 @@ def test_report_all_builds_each_mode_once(monkeypatch):
     report = report_all(RunConfig(level=5, max_mode=4, loewner_seeds=2))
     assert report.overall == "pass"
     assert sorted(built) == list(range(-7, 8))
+
+
+def test_operators_suite_passes_to_mode_twelve():
+    # the residue route reads the inverse map to an order derived from each mode
+    report = suite_operators(RunConfig(max_mode=12, max_degree=0))
+    assert [c.name for c in report.checks if c.status != "pass"] == []
+
+
+@pytest.mark.parametrize("kappa", [Fraction(3), Fraction(8, 3)])
+def test_suite_windows_match_the_wider_windows_they_replace(monkeypatch, kappa):
+    wide = OperatorTable(max_index=12)
+
+    def outcomes():
+        runs = [
+            suite(RunConfig(level=level, kappa=kappa), wide)
+            for level in range(7)
+            for suite in (suite_gram, suite_singular)
+        ]
+        return [[(c.name, c.status, c.witness) for c in r.checks] for r in runs]
+
+    narrow = outcomes()
+    monkeypatch.setattr(reports, "_gram_window", lambda cfg: max(2 * cfg.level, 2))
+    monkeypatch.setattr(reports, "_singular_window", lambda cfg: max(2 * cfg.level, 6))
+    assert outcomes() == narrow
