@@ -36,9 +36,13 @@ o >= 4 for the three coefficients of G it reads.
 :class:`ModeOperator` is the one carrier of this first-order data.  The
 welding build, a bracket (:func:`commutator_parts`) and a bracket's
 defect from its algebra value (:func:`commutator_defect`) are all of
-that type, compared with ``==`` and tested with ``is_zero``.
+that type, compared with ``==`` and tested with ``is_zero``.  Every
+component x of a bracket (``d_a[m]``, ``d_abar[m]``, Euler, identity) is
+``u(t_x) - t(u_x) + n_u e_t u_x - n_t e_u t_x``, with ``u(.)`` the
+derivation part of u and ``e_u`` its Euler coefficient.
 
-:func:`build_mode_operator` is the one construction the product path uses.
+:func:`build_mode_operator`, the one construction the product path uses,
+builds the L family; an L-bar operator is only ever the mirror of L(n).
 :func:`recursion_mode_operator` builds the modes below -2 from nested
 brackets of L_{-1} and L_{-2} instead; it is kept only as an oracle that
 never reads the welding series of the deep modes.
@@ -73,7 +77,7 @@ from .symbolic import (
     series_reversion,
 )
 from .symbolic.poly import Prepared, _index_limit
-from .verma import central_charge, cocycle, kac_lambda
+from .verma import central_charge, cocycle, kac_lambda, lowering_word, raising_word
 
 __all__ = [
     "OperatorWindowError",
@@ -266,10 +270,9 @@ class ModeOperator:
 
     def mirrored(self) -> "ModeOperator":
         """The same mode of the other family (bar involution of all data)."""
-        return ModeOperator(
-            mode=self.mode,
+        return replace(
+            self,
             bar=not self.bar,
-            max_index=self.max_index,
             e_coeff=self.e_coeff.swap_bars(),
             id_coeff=self.id_coeff.swap_bars(),
             d_a={m: c.swap_bars() for m, c in self.d_abar.items()},
@@ -290,12 +293,9 @@ class ModeOperator:
             )
         if max_index == self.max_index:
             return self
-        op = ModeOperator(
-            mode=self.mode,
-            bar=self.bar,
+        op = replace(
+            self,
             max_index=max_index,
-            e_coeff=self.e_coeff,
-            id_coeff=self.id_coeff,
             d_a={m: c for m, c in self.d_a.items() if m <= max_index},
             d_abar={m: c for m, c in self.d_abar.items() if m <= max_index},
             provenance=f"{self.provenance}|restricted({max_index})",
@@ -305,10 +305,8 @@ class ModeOperator:
 
     def scaled(self, factor: Fraction | int) -> "ModeOperator":
         """Every part times the rational ``factor``, on the same window."""
-        return ModeOperator(
-            mode=self.mode,
-            bar=self.bar,
-            max_index=self.max_index,
+        return replace(
+            self,
             e_coeff=self.e_coeff * factor,
             id_coeff=self.id_coeff * factor,
             d_a={m: c * factor for m, c in self.d_a.items()},
@@ -326,10 +324,8 @@ class ModeOperator:
                 f"cannot subtract an operator on window {other.max_index} "
                 f"from one on window {self.max_index}"
             )
-        return ModeOperator(
-            mode=self.mode,
-            bar=self.bar,
-            max_index=self.max_index,
+        return replace(
+            self,
             e_coeff=self.e_coeff - other.e_coeff,
             id_coeff=self.id_coeff - other.id_coeff,
             d_a={m: self.d_a.get(m, _ZERO) - other.d_a.get(m, _ZERO)
@@ -351,7 +347,7 @@ def _coefficient_map(order: int) -> LaurentSeries:
     return LaurentSeries(1, coeffs, order)
 
 
-def _welding_build(n: int, max_index: int) -> ModeOperator:
+def build_mode_operator(n: int, *, max_index: int = 8) -> ModeOperator:
     """The L-family operator of mode n from the welded deformation fields.
 
     The deformation of the coefficient body induced by the vector field
@@ -420,12 +416,6 @@ def _welding_build(n: int, max_index: int) -> ModeOperator:
         d_abar=d_abar,
         provenance="welding",
     )
-
-
-def build_mode_operator(n: int, bar: bool = False, max_index: int = 8) -> ModeOperator:
-    """Construct one mode operator from the welded deformation series."""
-    op = _welding_build(n, max_index)
-    return op.mirrored() if bar else op
 
 
 def recursion_mode_operator(n: int, max_index: int = 8) -> ModeOperator:
@@ -505,44 +495,28 @@ def commutator_parts(u: ModeOperator, t: ModeOperator) -> ModeOperator:
     if window < 1:
         raise OperatorWindowError("operators too narrow to bracket")
     nu, nt = u.mode, t.mode
-    d_a: dict[int, CoeffPoly] = {}
-    d_abar: dict[int, CoeffPoly] = {}
-    for target, u_dict, t_dict in (
-        (d_a, u.d_a, t.d_a),
-        (d_abar, u.d_abar, t.d_abar),
-    ):
-        for m in range(1, window + 1):
-            term = _ZERO
-            t_cf = t_dict.get(m, _ZERO)
-            u_cf = u_dict.get(m, _ZERO)
-            if not t_cf.is_zero:
-                term = term + u.derive(t_cf)
-                if not u.e_coeff.is_zero:
-                    term = term - nt * u.e_coeff * t_cf
-            if not u_cf.is_zero:
-                term = term - t.derive(u_cf)
-                if not t.e_coeff.is_zero:
-                    term = term + nu * t.e_coeff * u_cf
-            target[m] = term
-    id_part = (
-        u.derive(t.id_coeff)
-        - t.derive(u.id_coeff)
-        + nu * t.e_coeff * u.id_coeff
-        - nt * u.e_coeff * t.id_coeff
-    )
-    e_part = (
-        u.derive(t.e_coeff)
-        - t.derive(u.e_coeff)
-        + (nu - nt) * u.e_coeff * t.e_coeff
-    )
+
+    def part(u_x: CoeffPoly, t_x: CoeffPoly) -> CoeffPoly:
+        out = _ZERO
+        if not t_x.is_zero:
+            out = out + u.derive(t_x)
+            if not u.e_coeff.is_zero:
+                out = out - nt * u.e_coeff * t_x
+        if not u_x.is_zero:
+            out = out - t.derive(u_x)
+            if not t.e_coeff.is_zero:
+                out = out + nu * t.e_coeff * u_x
+        return out
+
+    indices = range(1, window + 1)
     return ModeOperator(
         mode=nu + nt,
         bar=u.bar,
         max_index=window,
-        e_coeff=e_part,
-        id_coeff=id_part,
-        d_a=d_a,
-        d_abar=d_abar,
+        e_coeff=part(u.e_coeff, t.e_coeff),
+        id_coeff=part(u.id_coeff, t.id_coeff),
+        d_a={m: part(u.d_a.get(m, _ZERO), t.d_a.get(m, _ZERO)) for m in indices},
+        d_abar={m: part(u.d_abar.get(m, _ZERO), t.d_abar.get(m, _ZERO)) for m in indices},
         provenance="bracket",
     )
 
@@ -607,14 +581,15 @@ class OperatorTable:
         return view
 
     def mode_operator(self, n: int, bar: bool = False) -> ModeOperator:
+        """The mode-n operator of one family; L-bar is the mirror of L(n)."""
         key = (n, bar)
         if key not in self._cache:
             if self._parent is not None:
                 op = self._parent.mode_operator(n, bar).restricted(self.max_index)
-            elif (n, not bar) in self._cache:
-                op = self._cache[(n, not bar)].mirrored()
+            elif bar:
+                op = self.L(n).mirrored()
             else:
-                op = build_mode_operator(n, bar=bar, max_index=self.max_index)
+                op = build_mode_operator(n, max_index=self.max_index)
             self._cache[key] = op
         return self._cache[key]
 
@@ -630,18 +605,40 @@ class OperatorTable:
 # ---------------------------------------------------------------------------
 
 
+def _apply_word(
+    word: Sequence[int], state: StatePoly, table: OperatorTable, bar: bool = False
+) -> StatePoly:
+    """One family's modes of a :func:`lowering_word` or :func:`raising_word`, rightmost first."""
+    for n in reversed(word):
+        state = table.mode_operator(n, bar).apply(state)
+    return state
+
+
+def _vacuum_coefficient(state: StatePoly) -> CoeffPoly:
+    """The scalar in front of the vacuum of a state that must lie on its line."""
+    if state.is_zero:
+        return _ZERO
+    if state.level != (0, 0) or state.poly.max_coefficient_index() > 0:
+        raise AssertionError(f"pairing did not land on the vacuum line: {state!r}")
+    return state.poly
+
+
+def _coefficient_monomial(k: Partition | Sequence[int]) -> CoeffPoly:
+    """The monomial a_{k_1} ... a_{k_j} of a partition."""
+    mono = _ONE
+    for p in partition_parts(k):
+        mono = mono * CoeffPoly.generator(gen_a(p))
+    return mono
+
+
 def psi_state(
     k: Partition | Sequence[int],
     ktilde: Partition | Sequence[int],
     table: OperatorTable,
 ) -> StatePoly:
     """The geometric image of the abstract basis vector for (k, ktilde)."""
-    state = vacuum_state()
-    for p in partition_parts(ktilde):  # smallest bar part innermost
-        state = table.Lbar(-p).apply(state)
-    for p in partition_parts(k):
-        state = table.L(-p).apply(state)
-    return state
+    state = _apply_word(lowering_word(ktilde), vacuum_state(), table, bar=True)
+    return _apply_word(lowering_word(k), state, table)
 
 
 def geometric_pairing(
@@ -653,33 +650,17 @@ def geometric_pairing(
 
     Lower by k', then raise by k; the result must land on the vacuum line
     and the scalar in front is returned (a polynomial in weight and charge).
+    Entries across levels are zero.
     """
-    state = psi_state(kprime, (), table)
-    for p in reversed(partition_parts(k)):  # largest raising mode acts first
-        state = table.L(p).apply(state)
-    if state.is_zero:
+    if sum(partition_parts(k)) != sum(partition_parts(kprime)):
         return _ZERO
-    if state.level != (0, 0):
-        return _ZERO  # mismatched levels pair to zero; a residual state is fine
-    if state.poly.max_coefficient_index() > 0:
-        raise AssertionError(f"pairing did not land on the vacuum line: {state!r}")
-    return state.poly
+    return _vacuum_coefficient(_apply_word(raising_word(k), psi_state(kprime, (), table), table))
 
 
 def duality_pairing(k: Partition | Sequence[int], table: OperatorTable) -> CoeffPoly:
     """Raising word of k applied to the coefficient monomial of k."""
-    parts = partition_parts(k)
-    mono = _ONE
-    for p in parts:
-        mono = mono * CoeffPoly.generator(gen_a(p))
-    state = fresh_state(mono)
-    for p in reversed(parts):
-        state = table.L(p).apply(state)
-    if state.is_zero:
-        return _ZERO
-    if state.level != (0, 0) or state.poly.max_coefficient_index() > 0:
-        raise AssertionError(f"duality pairing left a non-scalar: {state!r}")
-    return state.poly
+    state = fresh_state(_coefficient_monomial(k))
+    return _vacuum_coefficient(_apply_word(raising_word(k), state, table))
 
 
 def level_rank(
@@ -693,12 +674,7 @@ def level_rank(
         return 1
     assignment = {LAMBDA: Fraction(weight), CC: Fraction(charge)}
     basis = partitions_of(level)
-    monomials = []
-    for p in basis:
-        mono = _ONE
-        for part in p.parts:
-            mono = mono * CoeffPoly.generator(gen_a(part))
-        monomials.append(next(iter(mono.terms()))[0])
+    monomials = [next(iter(_coefficient_monomial(p).terms()))[0] for p in basis]
     index = {mono: i for i, mono in enumerate(monomials)}
     rows = []
     for p in basis:

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -210,6 +210,7 @@ class RunConfig:
 
     def params(self) -> dict:
         """JSON-safe echo of every knob, rationals as p/q strings."""
+        aliases = {name: key for key, name in self._KEY_ALIASES.items()}
         out = {}
         for f in fields(self):
             if f.name.startswith("_"):
@@ -217,8 +218,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, Fraction):
                 value = _frac_str(value)
-            key = "lambda" if f.name == "weight" else f.name
-            out[key] = value
+            out[aliases.get(f.name, f.name)] = value
         return out
 
 
@@ -247,21 +247,7 @@ class Report:
         return "fail" if any(c.status == "fail" for c in self.checks) else "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "suite": self.suite,
-            "params": self.params,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "witness": c.witness,
-                    "timing": c.timing,
-                }
-                for c in self.checks
-            ],
-            "overall": self.overall,
-        }
+        return asdict(self) | {"overall": self.overall}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -3,8 +3,11 @@
 States live in the PBW basis indexed by partitions: the basis vector for a
 partition ``(k_1 <= ... <= k_j)`` is the word ``L_{-k_j} ... L_{-k_1}``
 applied to the highest-weight vector, so more-negative modes sit to the
-left.  Mode application is implemented by straightening against the
-commutation relation
+left.  :func:`lowering_word` and its adjoint :func:`raising_word` state
+that word convention, and the geometric realization in
+:mod:`loopcft.operators` reads its states and pairings from them too.
+Mode application is implemented by straightening against the commutation
+relation
 
     [L_a, L_b] = (a - b) L_{a+b} + (c/12) (a^3 - a) delta_{a,-b}
 
@@ -203,16 +206,9 @@ def _lower(p: int, parts: Parts) -> VermaVector:
     # L_{-p} L_{-q} = L_{-q} L_{-p} + (q - p) L_{-p-q} with q the largest part
     q = parts[-1]
     rest = parts[:-1]
-    swapped = _prefix_lower(q, _lower(p, rest))
+    swapped = apply_mode(-q, _lower(p, rest))
     merged = _lower(p + q, rest).scale(q - p)
     return swapped + merged
-
-
-def _prefix_lower(p: int, vector: VermaVector) -> VermaVector:
-    result = VermaVector()
-    for parts, coeff in vector.terms():
-        result = result + _apply_mode_to_basis(-p, parts).scale(coeff)
-    return result
 
 
 def _raise(n: int, parts: Parts) -> VermaVector:
@@ -221,7 +217,7 @@ def _raise(n: int, parts: Parts) -> VermaVector:
         return VermaVector()
     p = parts[-1]  # leftmost operator of the PBW word is L_{-p}
     rest = parts[:-1]
-    through = _prefix_lower(p, _raise(n, rest))
+    through = apply_mode(-p, _raise(n, rest))
     cross = _apply_mode_to_basis(n - p, rest).scale(n + p)
     result = through + cross
     if n == p:

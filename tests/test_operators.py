@@ -35,7 +35,6 @@ from loopcft.operators import (
     varpi,
     vartheta,
     _coefficient_map,
-    _welding_build,
 )
 from loopcft.reports import RunConfig, report_all, suite_gram, suite_operators, suite_singular
 from loopcft.symbolic import (
@@ -43,7 +42,6 @@ from loopcft.symbolic import (
     LAMBDA,
     CoeffPoly,
     Derivation,
-    Generator,
     LaurentSeries,
     a,
     abar,
@@ -52,7 +50,7 @@ from loopcft.symbolic import (
     series_reversion,
     solve_unique,
 )
-from loopcft.symbolic.poly import _KIND_A, _KIND_ABAR, MAX_EXPONENT
+from loopcft.symbolic.poly import MAX_EXPONENT
 from loopcft.verma import central_charge, gram_entry, kac_lambda
 
 LAM = CoeffPoly.generator(LAMBDA)
@@ -155,17 +153,41 @@ def test_bar_family_is_the_mirror(table):
             assert mirror.d_a.get(m, ZERO) == op.d_abar.get(m, ZERO).swap_bars()
 
 
-def _derive_over_term_union(op: ModeOperator, poly: CoeffPoly) -> CoeffPoly:
-    """The derivation part, over the generators collected monomial by monomial."""
-    found = set()
-    for mono, _ in poly.terms():
-        found.update(Generator(kind, index) for kind, index, _ in mono)
+def _first_order_by_parts(poly, coeffs, scalar=None):
+    """Oracle: sum_g coeffs[g] * d(poly)/dg, plus scalar * poly, by derivative, * and +."""
     out = ZERO
-    for gen in found:
-        coeff = {a(1).kind: op.d_a, abar(1).kind: op.d_abar}.get(gen.kind, {}).get(gen.index)
-        if coeff is not None and not coeff.is_zero:
-            out = out + coeff * poly.derivative(gen)
+    for gen, coeff in coeffs.items():
+        out = out + coeff * poly.derivative(gen)
+    if scalar is not None:
+        out = out + scalar * poly
     return out
+
+
+def _derive_by_parts(op: ModeOperator, poly: CoeffPoly, scalar=None) -> CoeffPoly:
+    """Oracle for ``op.derive`` (plus ``scalar * poly``), refusing what lies past the window."""
+    if poly.max_coefficient_index() > op.max_index:
+        raise OperatorWindowError(
+            f"input reaches index {poly.max_coefficient_index()} but mode "
+            f"{op.mode} operator only covers indices up to {op.max_index}"
+        )
+    coeffs = {a(m): c for m, c in op.d_a.items()}
+    coeffs.update((abar(m), c) for m, c in op.d_abar.items())
+    return _first_order_by_parts(poly, coeffs, scalar)
+
+
+def _apply_by_parts(op: ModeOperator, state: StatePoly) -> StatePoly:
+    """Oracle for ``op.apply``: the scalar e * (2 lambda + N + Ntilde) + id joins the sum."""
+    if state.is_zero:
+        return state
+    n_left, n_right = state.level
+    out = _derive_by_parts(
+        op, state.poly, op.e_coeff * (2 * LAM + (n_left + n_right)) + op.id_coeff
+    )
+    if op.bar:
+        new_level = (n_left, n_right - op.mode)
+    else:
+        new_level = (n_left - op.mode, n_right)
+    return StatePoly(out, new_level if not out.is_zero else None)
 
 
 def test_derive_and_apply_match_the_term_union_reference(table):
@@ -179,51 +201,12 @@ def test_derive_and_apply_match_the_term_union_reference(table):
     for n in range(-4, 5):
         op = table.L(n)
         for poly in states + mixed:
-            want = _derive_over_term_union(op, poly)
+            want = _derive_by_parts(op, poly)
             assert op.derive(poly).canonical_text() == want.canonical_text(), (n, poly)
             state = fresh_state(poly)
             left, right = state.level
             want = want + op.e_coeff * (2 * LAM + (left + right)) * poly + op.id_coeff * poly
             assert op.apply(state).poly.canonical_text() == want.canonical_text(), (n, poly)
-
-
-def _derive_per_generator(op: ModeOperator, poly: CoeffPoly) -> CoeffPoly:
-    """Oracle: the per-generator derivation loop that the one-pass kernel replaced."""
-    if poly.max_coefficient_index() > op.max_index:
-        raise OperatorWindowError(
-            f"input reaches index {poly.max_coefficient_index()} but mode "
-            f"{op.mode} operator only covers indices up to {op.max_index}"
-        )
-    out = ZERO
-    present = {Generator(kind, index) for mono, _ in poly.terms() for kind, index, _ in mono}
-    for gen in sorted(present, key=lambda g: (g.kind, g.index)):
-        if gen.kind == _KIND_A:
-            coeff = op.d_a.get(gen.index)
-        elif gen.kind == _KIND_ABAR:
-            coeff = op.d_abar.get(gen.index)
-        else:
-            continue
-        if coeff is not None and not coeff.is_zero:
-            out = out + coeff * poly.derivative(gen)
-    return out
-
-
-def _apply_per_generator(op: ModeOperator, state: StatePoly) -> StatePoly:
-    """Oracle: derivation, Euler and identity terms as separate products and sums."""
-    if state.is_zero:
-        return state
-    out = _derive_per_generator(op, state.poly)
-    n_left, n_right = state.level
-    if not op.e_coeff.is_zero:
-        eigen = 2 * LAM + (n_left + n_right)
-        out = out + op.e_coeff * eigen * state.poly
-    if not op.id_coeff.is_zero:
-        out = out + op.id_coeff * state.poly
-    if op.bar:
-        new_level = (n_left, n_right - op.mode)
-    else:
-        new_level = (n_left - op.mode, n_right)
-    return StatePoly(out, new_level if not out.is_zero else None)
 
 
 def _outcome(apply, op: ModeOperator, state: StatePoly):
@@ -249,7 +232,7 @@ def test_apply_matches_the_per_generator_loop_on_monomial_states():
     for first in ops:
         for state in states:
             assert _outcome(ModeOperator.apply, first, state) == _outcome(
-                _apply_per_generator, first, state
+                _apply_by_parts, first, state
             ), (first, state)
     # two steps at |n| <= 2, the compositions of the criterion-01 loop; equal
     # polynomials share one reduced form, so == is the canonical-text check
@@ -259,7 +242,7 @@ def test_apply_matches_the_per_generator_loop_on_monomial_states():
             image = first.apply(state)
             for second in inner:
                 try:
-                    want = _apply_per_generator(second, image)
+                    want = _apply_by_parts(second, image)
                 except OperatorWindowError:
                     with pytest.raises(OperatorWindowError):
                         second.apply(image)
@@ -282,9 +265,9 @@ def test_apply_matches_the_per_generator_loop_on_polynomial_states():
             op = table.mode_operator(n, bar)
             for state in states:
                 got = _outcome(ModeOperator.apply, op, state)
-                assert got == _outcome(_apply_per_generator, op, state), (op, state)
+                assert got == _outcome(_apply_by_parts, op, state), (op, state)
                 if not state.is_zero:
-                    assert op.derive(state.poly) == _derive_per_generator(op, state.poly)
+                    assert op.derive(state.poly) == _derive_by_parts(op, state.poly)
     assert table.L(-1).apply(StatePoly(ZERO, None)).is_zero
     assert table.L(-1).derive(ZERO).is_zero
 
@@ -295,9 +278,32 @@ def test_commutator_parts_match_the_per_generator_loop(monkeypatch):
     pairs = [(table.L(n), table.L(m)) for n in modes for m in modes if n != m]
     pairs += [(table.L(n), table.Lbar(m)) for n in modes for m in modes]
     fast = [commutator_parts(u, t) for u, t in pairs]
-    monkeypatch.setattr(ModeOperator, "derive", _derive_per_generator)
+    monkeypatch.setattr(ModeOperator, "derive", _derive_by_parts)
     slow = [commutator_parts(u, t) for u, t in pairs]
     assert fast == slow
+
+
+def test_commutator_parts_act_as_the_composition_difference():
+    """[u, t] s == u(t(s)) - t(u(s)) for L(n) against L(m) and Lbar(m), |n|, |m| <= 3."""
+    table = _shared_table()
+    modes = range(-3, 4)
+    pairs = [(table.L(n), table.L(m)) for n in modes for m in modes if n != m]
+    pairs += [(table.L(n), table.Lbar(m)) for n in modes for m in modes]
+    states = [
+        fresh_state(mono)
+        for total in range(5)
+        for left in range(total + 1)
+        for mono in _monomials_of_bidegree(left, total - left)
+    ]
+    cases = 0
+    for u, t in pairs:
+        bracket = commutator_parts(u, t)
+        for s in states:
+            got = bracket.apply(s)
+            want = u.apply(t.apply(s)) - t.apply(u.apply(s))
+            assert (got.poly, got.level) == (want.poly, want.level), (u, t, s)
+            cases += 1
+    assert cases == 3458
 
 
 _kernel_generators = [a(1), a(2), a(3), abar(1), abar(2), LAMBDA, CC]
@@ -319,15 +325,6 @@ def _kernel_polys(draw, max_terms=4, exponents=st.integers(1, 3)):
 def _first_order(poly, coeffs, scalar):
     """The kernel on the prepared forms of a generator-keyed map and a scalar."""
     return poly.first_order(Derivation(coeffs), None if scalar is None else scalar.prepared())
-
-
-def _first_order_by_parts(poly, coeffs, scalar):
-    out = ZERO
-    for gen, coeff in coeffs.items():
-        out = out + coeff * poly.derivative(gen)
-    if scalar is not None:
-        out = out + scalar * poly
-    return out
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,7 +396,10 @@ def _window_message(op, index):
 @pytest.mark.parametrize("window", [1, 2, 3, 5])
 def test_apply_and_derive_accept_exactly_the_window(window):
     scalars = LAM**3 * C + Fraction(2, 3) * C**2 - LAM
-    for op in (build_mode_operator(-1, max_index=window), build_mode_operator(2, True, window)):
+    for op in (
+        build_mode_operator(-1, max_index=window),
+        build_mode_operator(2, max_index=window).mirrored(),
+    ):
         for gen in (a, abar):
             top = CoeffPoly.generator(gen(window))
             inside = StatePoly(top * top + top * scalars, (2 * window, 0) if gen is a else (0, 2 * window))
@@ -415,7 +415,7 @@ def test_apply_and_derive_accept_exactly_the_window(window):
         # lambda and c sit below every index field
         for poly in (scalars, LAM**5 * C, ONE):
             state = StatePoly(poly, (0, 0))
-            assert op.apply(state).poly == _apply_by_parts(op, state)
+            assert op.apply(state).poly == _apply_by_parts(op, state).poly
         for poly in (scalars, LAM**MAX_EXPONENT, C**MAX_EXPONENT, ONE):
             assert op.derive(poly).is_zero
 
@@ -444,29 +444,21 @@ def test_mode_operators_are_unhashable():
         {op}
 
 
+def _family(op: ModeOperator, bar: bool) -> ModeOperator:
+    return op.mirrored() if bar else op
+
+
 def test_filled_caches_leave_operators_equal_to_fresh_builds():
     for n, bar in ((-3, False), (0, True), (2, False)):
-        used = build_mode_operator(n, bar, max_index=5)
+        used = _family(build_mode_operator(n, max_index=5), bar)
         for state in (fresh_state(A1 * AB2), fresh_state(A3), vacuum_state()):
             used.apply(state)
         used.derive(A2 * AB1)
         assert used._derivation is not None and used._scalars
-        fresh = build_mode_operator(n, bar, max_index=5)
+        fresh = _family(build_mode_operator(n, max_index=5), bar)
         assert used == fresh and fresh == used
         assert used.restricted(3) == fresh.restricted(3)
         assert not used != fresh
-
-
-def _apply_by_parts(op: ModeOperator, state: StatePoly) -> CoeffPoly:
-    """Oracle: sum_g d_g * ds/dg + (e * (2 lambda + N + Ntilde) + id) * s by derivative, * and +."""
-    poly = state.poly
-    out = ZERO
-    for m, coeff in op.d_a.items():
-        out = out + coeff * poly.derivative(a(m))
-    for m, coeff in op.d_abar.items():
-        out = out + coeff * poly.derivative(abar(m))
-    n_left, n_right = state.level
-    return out + (op.e_coeff * (2 * LAM + (n_left + n_right)) + op.id_coeff) * poly
 
 
 def test_apply_matches_the_by_parts_sum_on_every_operator_kind():
@@ -489,7 +481,7 @@ def test_apply_matches_the_by_parts_sum_on_every_operator_kind():
         for state in states:
             if state.poly.max_coefficient_index() > op.max_index:
                 continue
-            want = _apply_by_parts(op, state)
+            want = _apply_by_parts(op, state).poly
             assert op.apply(state).poly.canonical_text() == want.canonical_text(), (op, state)
 
 
@@ -987,7 +979,9 @@ def _reference_welding_build(n: int, max_index: int, series_order: int | None) -
 @pytest.mark.parametrize("window", range(1, 13))
 def test_welding_build_matches_the_dense_build(window):
     for n in range(-8, 9):
-        assert _welding_build(n, window) == _reference_welding_build(n, window, None), n
+        assert build_mode_operator(n, max_index=window) == _reference_welding_build(
+            n, window, None
+        ), n
 
 
 @pytest.mark.parametrize("window", range(1, 7))
@@ -995,7 +989,9 @@ def test_welding_build_ignores_series_order_padding(window):
     # the dense build is slow at padded orders, so the padded sweep stops at window 6
     for n in range(-8, 9):
         padded = window + abs(n) + 6
-        assert _welding_build(n, window) == _reference_welding_build(n, window, padded), n
+        assert build_mode_operator(n, max_index=window) == _reference_welding_build(
+            n, window, padded
+        ), n
 
 
 # ---------------------------------------------------------------------------
@@ -1006,6 +1002,21 @@ def test_welding_build_ignores_series_order_padding(window):
 @pytest.fixture(scope="module")
 def wide_table():
     return OperatorTable(max_index=12)
+
+
+def test_barred_operators_are_mirrors_of_direct_builds(wide_table):
+    window = 5
+    first = OperatorTable(max_index=window)
+    after = OperatorTable(max_index=window)
+    view = wide_table.restricted(window)
+    for n in range(-4, 5):
+        direct = build_mode_operator(n, max_index=window).mirrored()
+        barred_first = first.Lbar(n)  # requested before L(n)
+        after.L(n)
+        assert barred_first == direct, n
+        assert after.Lbar(n) == direct, n  # requested after L(n)
+        assert view.Lbar(n) == direct, n  # from a restricted view of a wider table
+        assert first.L(n).mirrored() == barred_first, n
 
 
 @pytest.mark.parametrize("window", range(1, 12))
@@ -1024,8 +1035,11 @@ def test_restricted_table_shares_builds_and_keeps_its_window(wide_table, monkeyp
     for n in (-3, 2):
         wide_table.L(n)
     built = []
+    build = operators.build_mode_operator
     monkeypatch.setattr(
-        operators, "_welding_build", lambda *args: built.append(args) or _welding_build(*args)
+        operators,
+        "build_mode_operator",
+        lambda n, **kwargs: built.append((n, kwargs)) or build(n, **kwargs),
     )
     narrow = wide_table.restricted(4)
     narrow.L(-3)
@@ -1046,11 +1060,11 @@ def test_restricted_table_shares_builds_and_keeps_its_window(wide_table, monkeyp
 def test_report_all_builds_each_mode_once(monkeypatch):
     built = []
 
-    def counting(n, max_index):
+    def counting(n, *, max_index):
         built.append(n)
-        return _welding_build(n, max_index)
+        return build_mode_operator(n, max_index=max_index)
 
-    monkeypatch.setattr(operators, "_welding_build", counting)
+    monkeypatch.setattr(operators, "build_mode_operator", counting)
     report = report_all(RunConfig(level=5, max_mode=4, loewner_seeds=2))
     assert report.overall == "pass"
     assert sorted(built) == list(range(-7, 8))

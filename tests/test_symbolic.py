@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcft.operators import _coefficient_map, _welding_build
+from loopcft.operators import _coefficient_map, build_mode_operator
 from loopcft.symbolic import (
     CC,
     LAMBDA,
@@ -789,7 +789,7 @@ def test_fused_series_arithmetic_matches_the_old_loops_on_random_series(f, g):
 
 def test_fused_welding_build_matches_the_old_loops():
     def builds():
-        return [_welding_build(n, 10) for n in range(-8, 9)]
+        return [build_mode_operator(n, max_index=10) for n in range(-8, 9)]
 
     assert builds() == _with_old_loops(builds)
 
