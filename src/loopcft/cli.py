@@ -155,6 +155,12 @@ def reflection(ctx, kappa, weight, output):
 def bubble_limit(ctx, csv_path, output):
     """Bubble masses: kernel-difference limits against the closed forms."""
     cfg = _config(ctx)
+    if csv_path is not None:
+        # checked here: the scan is written inside a check, where an error is a failure
+        try:
+            open(csv_path, "a").close()
+        except OSError as exc:
+            raise click.UsageError(f"cannot write the scan: {exc}") from exc
     _run_suite(ctx, suite_bubble, cfg, output, csv_path=csv_path)
 
 

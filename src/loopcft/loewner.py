@@ -79,12 +79,9 @@ class DrivingFunction:
     def total_time(self) -> float:
         return self.steps * self.dt
 
-    def at(self, t: float) -> float:
-        """Linear interpolation between grid samples."""
-        return self.interpolant()(t)
-
     def interpolant(self) -> Callable[[float], float]:
-        """``at`` as a plain function, with the samples and grid bound once."""
+        """Linear interpolation between grid samples, as a plain function
+        with the samples and grid bound once."""
         values, dt, steps = self.values, self.dt, self.steps
         first, last = values[0], values[-1]
 
@@ -99,13 +96,6 @@ class DrivingFunction:
             return values[index] * (1 - frac) + values[index + 1] * frac
 
         return at
-
-    def scaled(self, factor: float) -> "DrivingFunction":
-        """Brownian rescaling t -> factor * W(t / factor^2)."""
-        return DrivingFunction(
-            dt=self.dt * factor * factor,
-            values=tuple(factor * v for v in self.values),
-        )
 
 
 @dataclass(frozen=True)

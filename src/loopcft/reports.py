@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -313,24 +314,21 @@ def suite_commutators(cfg: RunConfig, table: OperatorTable | None = None) -> Rep
     k = cfg.max_mode
     table = _suite_table(_commutators_window(cfg), table)
 
-    def bracket(n: int, m: int, mixed: bool) -> Callable[[], tuple[bool, str]]:
-        def check() -> tuple[bool, str]:
-            u = table.L(n)
-            t = table.Lbar(m) if mixed else table.L(m)
-            defect = commutator_defect(u, t, table)
-            if defect.is_zero:
-                kind = "zero" if mixed else "algebra value"
-                return True, f"[{n},{m}] equals {kind} on window {defect.max_index}"
-            return False, _describe_defect(defect)
-
-        return check
+    def bracket(n: int, m: int, mixed: bool) -> tuple[bool, str]:
+        u = table.L(n)
+        t = table.Lbar(m) if mixed else table.L(m)
+        defect = commutator_defect(u, t, table)
+        if defect.is_zero:
+            kind = "zero" if mixed else "algebra value"
+            return True, f"[{n},{m}] equals {kind} on window {defect.max_index}"
+        return False, _describe_defect(defect)
 
     for n in range(-k, k + 1):
         for m in range(n + 1, k + 1):
-            report.run(f"bracket L({n}) L({m})", bracket(n, m, mixed=False))
+            report.run(f"bracket L({n}) L({m})", partial(bracket, n, m, False))
     for n in range(-k, k + 1):
         for m in range(-k, k + 1):
-            report.run(f"bracket L({n}) Lbar({m})", bracket(n, m, mixed=True))
+            report.run(f"bracket L({n}) Lbar({m})", partial(bracket, n, m, True))
 
     def mirror_family() -> tuple[bool, str]:
         defect = commutator_defect(table.Lbar(1), table.Lbar(-1), table)
@@ -351,22 +349,19 @@ def suite_gram(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
     top = cfg.level
     table = _suite_table(_gram_window(cfg), table)
 
-    def level_match(n: int) -> Callable[[], tuple[bool, str]]:
-        def check() -> tuple[bool, str]:
-            parts_list = partitions_of(n)
-            for k in parts_list:
-                for kp in parts_list:
-                    got = geometric_pairing(k.parts, kp.parts, table)
-                    want = gram_entry(k.parts, kp.parts)
-                    if got != want:
-                        return False, f"mismatch at <{k.parts}|{kp.parts}>"
-            size = len(parts_list)
-            return True, f"all {size}x{size} entries agree exactly"
-
-        return check
+    def level_match(n: int) -> tuple[bool, str]:
+        parts_list = partitions_of(n)
+        for k in parts_list:
+            for kp in parts_list:
+                got = geometric_pairing(k.parts, kp.parts, table)
+                want = gram_entry(k.parts, kp.parts)
+                if got != want:
+                    return False, f"mismatch at <{k.parts}|{kp.parts}>"
+        size = len(parts_list)
+        return True, f"all {size}x{size} entries agree exactly"
 
     for n in range(top + 1):
-        report.run(f"geometric matches abstract, level {n}", level_match(n))
+        report.run(f"geometric matches abstract, level {n}", partial(level_match, n))
 
     def inverse_check() -> tuple[bool, str]:
         level, weight = min(top, 2), _off_kac_weight(cfg)
@@ -460,41 +455,35 @@ def suite_singular(cfg: RunConfig, table: OperatorTable | None = None) -> Report
     table = _suite_table(_singular_window(cfg), table)
     charge = central_charge(cfg.kappa)
 
-    def level_two_family(r: int, s: int) -> Callable[[], tuple[bool, str]]:
-        def check() -> tuple[bool, str]:
-            v = vacuum_state()
-            quad = table.L(-1).apply(table.L(-1).apply(v))
-            combo = quad - table.L(-2).apply(v).scale(
-                Fraction(2, 3) * (2 * _LAM + 1)
-            )
-            residuals = state_family_residuals(combo.poly, r, s)
-            if residuals:
-                return False, f"{len(residuals)} residual monomials survive"
-            return True, "vanishes identically along the family"
-
-        return check
+    def level_two_family(r: int, s: int) -> tuple[bool, str]:
+        v = vacuum_state()
+        quad = table.L(-1).apply(table.L(-1).apply(v))
+        combo = quad - table.L(-2).apply(v).scale(
+            Fraction(2, 3) * (2 * _LAM + 1)
+        )
+        residuals = state_family_residuals(combo.poly, r, s)
+        if residuals:
+            return False, f"{len(residuals)} residual monomials survive"
+        return True, "vanishes identically along the family"
 
     for r, s in [(1, 2), (2, 1)]:
-        report.run(f"level-2 null state on family ({r},{s})", level_two_family(r, s))
+        report.run(f"level-2 null state on family ({r},{s})", partial(level_two_family, r, s))
 
-    def kernel(r: int, s: int) -> Callable[[], tuple[bool, str]]:
-        def check() -> tuple[bool, str]:
-            n = r * s
-            weight = kac_lambda(r, s, cfg.kappa)
-            basis = singular_vectors(n, weight, charge)
-            if not basis:
-                return False, "no kernel vector at the degenerate weight"
-            rank = gram_rank_at(n, weight, charge)
-            return True, (
-                f"kernel dim {len(basis)}, rank {rank} of {partition_count(n)} "
-                f"at lambda={_frac_str(weight)}"
-            )
-
-        return check
+    def kernel(r: int, s: int) -> tuple[bool, str]:
+        n = r * s
+        weight = kac_lambda(r, s, cfg.kappa)
+        basis = singular_vectors(n, weight, charge)
+        if not basis:
+            return False, "no kernel vector at the degenerate weight"
+        rank = gram_rank_at(n, weight, charge)
+        return True, (
+            f"kernel dim {len(basis)}, rank {rank} of {partition_count(n)} "
+            f"at lambda={_frac_str(weight)}"
+        )
 
     for r, s in [(1, 2), (2, 1), (1, 3)]:
         if r * s <= max(cfg.level, 2):
-            report.run(f"rank drop at level {r * s} family ({r},{s})", kernel(r, s))
+            report.run(f"rank drop at level {r * s} family ({r},{s})", partial(kernel, r, s))
     return report
 
 
@@ -508,44 +497,38 @@ def suite_operators(cfg: RunConfig, table: OperatorTable | None = None) -> Repor
     k = cfg.max_mode
     table = _suite_table(_operators_window(cfg), table)
 
-    def shape(n: int) -> Callable[[], tuple[bool, str]]:
-        def check() -> tuple[bool, str]:
-            op = table.L(n)
-            for m in range(1, table.max_index + 1):
-                p = op.d_a.get(m, _ZERO)
-                if n >= 1:
-                    if m < n and not p.is_zero:
-                        return False, f"d_a[{m}] should vanish"
-                    if m == n and p != CoeffPoly.constant(-1):
-                        return False, f"d_a[{n}] should be -1"
-                if not p.is_zero and p.weighted_monomial_degrees() != {(m - n, 0)}:
-                    return False, f"d_a[{m}] has the wrong weighted degree"
-                q = op.d_abar.get(m, _ZERO)
-                if n >= 1 and not q.is_zero:
-                    return False, f"d_abar[{m}] should vanish for positive modes"
-                for left, right in q.weighted_monomial_degrees():
-                    if left - right != -(n + m) or left + right > m - n:
-                        return False, f"d_abar[{m}] breaks the degree constraint"
-            return True, f"all coefficients up to index {table.max_index} well-shaped"
-
-        return check
+    def shape(n: int) -> tuple[bool, str]:
+        op = table.L(n)
+        for m in range(1, table.max_index + 1):
+            p = op.d_a.get(m, _ZERO)
+            if n >= 1:
+                if m < n and not p.is_zero:
+                    return False, f"d_a[{m}] should vanish"
+                if m == n and p != CoeffPoly.constant(-1):
+                    return False, f"d_a[{n}] should be -1"
+            if not p.is_zero and p.weighted_monomial_degrees() != {(m - n, 0)}:
+                return False, f"d_a[{m}] has the wrong weighted degree"
+            q = op.d_abar.get(m, _ZERO)
+            if n >= 1 and not q.is_zero:
+                return False, f"d_abar[{m}] should vanish for positive modes"
+            for left, right in q.weighted_monomial_degrees():
+                if left - right != -(n + m) or left + right > m - n:
+                    return False, f"d_abar[{m}] breaks the degree constraint"
+        return True, f"all coefficients up to index {table.max_index} well-shaped"
 
     for n in range(-k, k + 1):
-        report.run(f"degree structure of mode {n}", shape(n))
+        report.run(f"degree structure of mode {n}", partial(shape, n))
 
-    def scalars(n: int) -> Callable[[], tuple[bool, str]]:
-        def check() -> tuple[bool, str]:
-            op = table.L(n)
-            if op.e_coeff != -varpi(n):
-                return False, "Euler coefficient disagrees with the residue route"
-            if op.id_coeff != -(_C * vartheta(n)) * Fraction(1, 12):
-                return False, "identity coefficient disagrees with the residue route"
-            return True, "scalar parts match the independent residue computation"
-
-        return check
+    def scalars(n: int) -> tuple[bool, str]:
+        op = table.L(n)
+        if op.e_coeff != -varpi(n):
+            return False, "Euler coefficient disagrees with the residue route"
+        if op.id_coeff != -(_C * vartheta(n)) * Fraction(1, 12):
+            return False, "identity coefficient disagrees with the residue route"
+        return True, "scalar parts match the independent residue computation"
 
     for n in range(-k, k + 1):
-        report.run(f"scalar anchors of mode {n}", scalars(n))
+        report.run(f"scalar anchors of mode {n}", partial(scalars, n))
 
     def duality() -> tuple[bool, str]:
         cap = max(cfg.level, 2)
@@ -565,12 +548,12 @@ def suite_operators(cfg: RunConfig, table: OperatorTable | None = None) -> Repor
 
 
 def kappa_in_range(cfg: RunConfig, suite: str) -> float:
-    """The config's kappa as a float, checked against the range (0, 4] that
-    the reflection and Loewner suites accept; ``suite`` names the one asking."""
-    kappa = float(cfg.kappa)
-    if not 0 < kappa <= 4:
+    """The config's kappa as a float, checked exactly against the range
+    (0, 4] that the reflection and Loewner suites accept; ``suite`` names
+    the one asking."""
+    if not 0 < cfg.kappa <= 4:
         raise ValueError(f"{suite} suite needs kappa in (0, 4]")
-    return kappa
+    return float(cfg.kappa)
 
 
 def suite_reflection(cfg: RunConfig) -> Report:

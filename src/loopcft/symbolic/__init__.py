@@ -6,7 +6,6 @@ from .linalg import (
     kernel_basis,
     rank,
     rref,
-    solve_unique,
 )
 from .partitions import Partition, partition_count, partition_parts, partitions_of
 from .poly import (
@@ -15,7 +14,6 @@ from .poly import (
     CoeffPoly,
     Derivation,
     Generator,
-    GradingError,
     a,
     abar,
 )
@@ -31,7 +29,6 @@ __all__ = [
     "CoeffPoly",
     "Derivation",
     "Generator",
-    "GradingError",
     "a",
     "abar",
     "LAMBDA",
@@ -48,7 +45,6 @@ __all__ = [
     "rref",
     "rank",
     "kernel_basis",
-    "solve_unique",
     "invert",
     "determinant",
 ]

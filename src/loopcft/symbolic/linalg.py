@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on dense ``list[list[Fraction]]`` matrices.  Ranks,
-kernels, solutions and inverses come from Gauss-Jordan elimination over
-``Fraction``; the determinant clears each row's denominators and runs
-fraction-free Bareiss elimination on integers, which divides exactly and
-never reduces a fraction.  The determinant is on a hot path: the Kac
+kernels and inverses come from Gauss-Jordan elimination over ``Fraction``;
+the determinant clears each row's denominators and runs fraction-free
+Bareiss elimination on integers, which divides exactly and never reduces a
+fraction.  The determinant is on a hot path: the Kac
 determinant evaluates the Gram form at D + 1 weights per level (22 x 22
 matrices at level 8, 30 x 30 at level 9).  Nothing here is approximate, so
 ranks, kernels and inverses come out with no floating-point ambiguity.
@@ -20,7 +20,6 @@ __all__ = [
     "rref",
     "rank",
     "kernel_basis",
-    "solve_unique",
     "invert",
     "determinant",
 ]
@@ -81,27 +80,6 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fracti
         lead = next(x for x in vec if x != 0)
         basis.append([x / lead for x in vec])
     return basis
-
-
-def solve_unique(
-    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[Fraction]:
-    """The unique solution of A x = b; raises if none exists or many do."""
-    if len(matrix) != len(rhs):
-        raise ValueError("matrix and right-hand side have mismatched heights")
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    augmented = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    reduced, pivots = rref(augmented)
-    if cols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < cols:
-        raise ValueError("underdetermined linear system (kernel is nontrivial)")
-    solution = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        solution[pc] = reduced[r][cols]
-    return solution
 
 
 def invert(matrix: Sequence[Sequence[Fraction | int]]) -> Matrix:

@@ -28,20 +28,9 @@ class Partition:
         if any(a > b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"partition parts must ascend, got {self.parts}")
 
-    @staticmethod
-    def of(*parts: int) -> "Partition":
-        return Partition(tuple(sorted(parts)))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def multiplicity(self, part: int) -> int:
-        return self.parts.count(part)
-
     def multiplicity_vector(self, size: int | None = None) -> tuple[int, ...]:
         """(k_1, ..., k_size) with k_i the number of parts equal to i."""
-        n = self.weight if size is None else size
+        n = sum(self.parts) if size is None else size
         vec = [0] * n
         for p in self.parts:
             if p <= n:

@@ -30,12 +30,11 @@ monomials once and visits only the fields the two share, with no
 ``Generator`` built or hashed.
 
 Only the public boundary decodes (memoized per monomial): ``terms()``, the
-constant accessors, the grading queries, ``evaluate``,
-``map_coefficients`` and the canonical text.  There a coefficient is a
-``fractions.Fraction`` and a monomial is a tuple of ``(kind, index,
-exponent)`` triples in the canonical generator order, fixed once and for
-all: the a-block sorts before the abar-block, and the two scalar symbols
-trail (``a1 < a2 < ... < abar1 < abar2 < ... < lambda < c``).
+constant accessors, the grading query and the canonical text.  There a
+coefficient is a ``fractions.Fraction`` and a monomial is a tuple of
+``(kind, index, exponent)`` triples in the canonical generator order, fixed
+once and for all: the a-block sorts before the abar-block, and the two
+scalar symbols trail (``a1 < a2 < ... < abar1 < abar2 < ... < lambda < c``).
 Serialization ("canonical text") is graded-lexicographic in that order, so
 equal polynomials always print identically.
 """
@@ -48,13 +47,12 @@ from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 __all__ = [
     "Generator",
     "CoeffPoly",
     "Derivation",
-    "GradingError",
     "LAMBDA",
     "CC",
     "a",
@@ -86,10 +84,6 @@ _GUARD = ((1 << (_FIELD * _SLOTS)) - 1) // _FIELD_MASK << (_FIELD - 1)
 # The a_m fields (m >= 1), i.e. the low field of every 32-bit pair but the scalars'.
 _A_FIELDS = (((1 << (2 * _FIELD * (MAX_INDEX + 1))) - 1) // ((1 << 2 * _FIELD) - 1) - 1) * _FIELD_MASK
 _SCALAR_FIELDS = (1 << 2 * _FIELD) - 1
-
-
-class GradingError(ValueError):
-    """Raised when a strictly graded quantity is requested of an ungradable polynomial."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -616,46 +610,9 @@ class CoeffPoly:
             self._den,
         )
 
-    def bidegree(self, *, strict: bool = True) -> tuple[int, int]:
-        """Weighted (left, right) degree: max over monomials of sum m*deg.
-
-        ``strict`` rejects polynomials that mix lambda/c into the graded
-        query; pass ``strict=False`` to grade the a/abar content only.
-        Returns (0, 0) for constants and for the zero polynomial.
-        """
-        left = right = 0
-        for mono in self._nums:
-            if strict and mono & _SCALAR_FIELDS:
-                raise GradingError(
-                    "bidegree of a polynomial involving lambda/c requested in strict mode"
-                )
-            l, r = _weighted_degree(mono)
-            left = max(left, l)
-            right = max(right, r)
-        return (left, right)
-
     def weighted_monomial_degrees(self) -> set[tuple[int, int]]:
         """The set of per-monomial weighted (left, right) degrees, lambda/c ignored."""
         return {_weighted_degree(mono) for mono in self._nums}
-
-    def map_coefficients(self, fn: Callable[[Fraction], Fraction]) -> "CoeffPoly":
-        return CoeffPoly({m: fn(c) for m, c in self.terms()})
-
-    def evaluate(self, values: Mapping[Generator, complex]) -> complex:
-        """Numeric evaluation; every generator present must be assigned."""
-        lookup = {(g.kind, g.index): v for g, v in values.items()}
-        total = 0j
-        for mono, coef in self.terms():
-            term: complex = complex(coef)
-            for kind, index, exp in mono:
-                try:
-                    term *= lookup[(kind, index)] ** exp
-                except KeyError:
-                    raise KeyError(
-                        f"no value supplied for generator {_KIND_NAMES[kind]}{index or ''}"
-                    ) from None
-            total += term
-        return total
 
     # -- canonical text ------------------------------------------------
 

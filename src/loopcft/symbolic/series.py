@@ -149,13 +149,6 @@ class LaurentSeries:
             if not c.is_zero:
                 yield (self.valuation + i, c)
 
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality on the shared reliable window, for series of different orders."""
-        shared = min(self.order, other.order)
-        powers = {p for p, _ in self.coefficients() if p < shared}
-        powers |= {p for p, _ in other.coefficients() if p < shared}
-        return all(self.coefficient(p) == other.coefficient(p) for p in powers)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -317,15 +310,6 @@ class LaurentSeries:
     def residue(self) -> CoeffPoly:
         """The coefficient of z**-1 (raises if that power is unreliable)."""
         return self.coefficient(-1)
-
-    def map_coefficients(self, fn) -> "LaurentSeries":
-        if self.is_zero:
-            return self
-        return LaurentSeries(self.valuation, [fn(c) for c in self.coeffs], self.order)
-
-    def swap_bars(self) -> "LaurentSeries":
-        """Apply the a <-> abar involution to every coefficient."""
-        return self.map_coefficients(lambda c: c.swap_bars())
 
 
 def pre_schwarzian(f: LaurentSeries) -> LaurentSeries:

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report schema, config precedence, where numpy
 loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -121,9 +122,15 @@ def test_bad_rational_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+# just above 4, but 4.0 as a float: the range check must compare exactly
+_OUT_OF_RANGE_KAPPAS = ("5/1", "4000000000000000001/1000000000000000000")
+
+
 def test_out_of_range_kappa_is_usage_error(runner):
-    result = runner.invoke(main, ["reflection", "--kappa", "5/1"])
-    assert result.exit_code == 2
+    for kappa in _OUT_OF_RANGE_KAPPAS:
+        result = runner.invoke(main, ["reflection", "--kappa", kappa])
+        assert result.exit_code == 2, kappa
+        assert "reflection suite needs kappa in (0, 4]" in result.output
 
 
 def test_missing_config_file_is_usage_error(runner):
@@ -230,12 +237,13 @@ def test_single_loewner_seed_is_usage_error(runner, command):
 def test_loewner_kappa_out_of_range_is_usage_error(runner, tmp_path, csv):
     # the trace CSV is sampled before the suite runs; both forms reject kappa first
     target = tmp_path / "trace.csv"
-    argv = ["loewner-demo", "--kappa", "5", "--seeds", "2"]
-    result = runner.invoke(main, argv + (["--trace-csv", str(target)] if csv else []))
-    assert result.exit_code == 2
-    assert "loewner suite needs kappa in (0, 4]" in result.output
-    assert "Traceback" not in result.output
-    assert not target.exists()
+    for kappa in _OUT_OF_RANGE_KAPPAS:
+        argv = ["loewner-demo", "--kappa", kappa, "--seeds", "2"]
+        result = runner.invoke(main, argv + (["--trace-csv", str(target)] if csv else []))
+        assert result.exit_code == 2, kappa
+        assert "loewner suite needs kappa in (0, 4]" in result.output
+        assert "Traceback" not in result.output
+        assert not target.exists()
 
 
 def test_report_all_rejects_kappa_before_any_suite(runner, monkeypatch):
@@ -243,10 +251,11 @@ def test_report_all_rejects_kappa_before_any_suite(runner, monkeypatch):
 
     calls = []
     monkeypatch.setattr(reports, "suite_commutators", lambda *args: calls.append(args))
-    result = runner.invoke(main, ["report-all", "--kappa", "5"])
-    assert result.exit_code == 2
-    assert "reflection suite needs kappa in (0, 4]" in result.output
-    assert "Traceback" not in result.output
+    for kappa in _OUT_OF_RANGE_KAPPAS:
+        result = runner.invoke(main, ["report-all", "--kappa", kappa])
+        assert result.exit_code == 2, kappa
+        assert "reflection suite needs kappa in (0, 4]" in result.output
+        assert "Traceback" not in result.output
     assert calls == []
 
 
@@ -411,8 +420,9 @@ def test_output_flag_writes_file(runner, tmp_path):
     [
         ["kac", "--level", "2", "--output"],
         ["loewner-demo", "--seeds", "2", "--trace-csv"],
+        ["bubble-limit", "--csv"],
     ],
-    ids=["output", "trace-csv"],
+    ids=["output", "trace-csv", "csv"],
 )
 def test_unwritable_output_path_is_usage_error(runner, tmp_path, argv):
     target = tmp_path / "missing" / "out"
@@ -447,6 +457,71 @@ def test_every_exported_name_resolves(name):
     # perfbench/tracer.py looks up every name in spectral.__all__ and linalg.__all__
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+# Public names that nothing in src/, demos/ or perfbench/ references: the
+# oracles that tests name, with the reason each is kept.
+_UNREFERENCED_PUBLIC_NAMES = {
+    "normal_order": "PBW straightening, the oracle for the Gram entry recursion",
+    "basis_vector": "builds the Verma states that the straightening tests pair",
+    "recursion_mode_operator": "bracket recursion, the oracle for the deep welding builds",
+    "from_canonical_text": "parser, the round-trip oracle for canonical text",
+    "level_rank": "ROADMAP item 2 gives it a product caller",
+}
+
+
+def test_every_public_name_has_a_caller_or_is_a_named_oracle():
+    # Every name in a module's __all__, and every public method or property
+    # of an exported class, must be referenced (as a Name or an Attribute)
+    # in src/, demos/ or perfbench/ outside its own definition.  Matching is
+    # by name, so this is a floor, not a proof: a member that shares its
+    # name with an attribute used elsewhere passes.
+    root = Path(__file__).resolve().parents[1]
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in ("src", "demos", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    references = [
+        (node.id if isinstance(node, ast.Name) else node.attr, path, node.lineno)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+    def referenced(name, path, definition):
+        return any(
+            ref == name
+            and not (where == path and definition.lineno <= line <= definition.end_lineno)
+            for ref, where, line in references
+        )
+
+    def bound(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return {node.name}
+        return {target.id for target in getattr(node, "targets", ()) if isinstance(target, ast.Name)}
+
+    unreferenced = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(root / "src"):
+            continue
+        exported = set()
+        for node in tree.body:
+            if "__all__" in bound(node):
+                exported = set(ast.literal_eval(node.value))
+        for node in tree.body:
+            for name in exported & bound(node):
+                if not referenced(name, path, node):
+                    unreferenced.add(name)
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                for member in node.body:
+                    if (
+                        isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("_")
+                        and not referenced(member.name, path, member)
+                    ):
+                        unreferenced.add(member.name)
+    assert unreferenced == set(_UNREFERENCED_PUBLIC_NAMES)
 
 
 # ---------------------------------------------------------------------------

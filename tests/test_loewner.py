@@ -50,11 +50,12 @@ def test_driver_interpolation_and_metadata():
     w = DrivingFunction(dt=0.5, values=(0.0, 1.0, 3.0))
     assert w.steps == 2
     assert w.total_time == 1.0
-    assert w.at(0.0) == 0.0
-    assert w.at(0.25) == pytest.approx(0.5)
-    assert w.at(0.75) == pytest.approx(2.0)
-    assert w.at(5.0) == 3.0  # clamped at the right end
-    assert w.at(-1.0) == 0.0
+    at = w.interpolant()
+    assert at(0.0) == 0.0
+    assert at(0.25) == pytest.approx(0.5)
+    assert at(0.75) == pytest.approx(2.0)
+    assert at(5.0) == 3.0  # clamped at the right end
+    assert at(-1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +117,13 @@ def test_forward_map_concatenation():
 
 
 # The forward map as it read before the driver was bound once per call: every
-# RK4 stage and swallow check went through DrivingFunction.at.  Kept as the
+# RK4 stage and swallow check built the interpolant afresh.  Kept as the
 # oracle for bit-identical results.
 
 
 def _reference_rk4_step(w, t, z, h):
     def f(s, y):
-        return 2.0 / (y - w.at(s))
+        return 2.0 / (y - w.interpolant()(s))
 
     k1 = f(t, z)
     k2 = f(t + h / 2, z + h / 2 * k1)
@@ -144,7 +145,7 @@ def _reference_forward_map(w, z, T):
     g = complex(z)
     h = w.dt
     while t < T:
-        if abs(g - w.at(t)) < swallow_radius:
+        if abs(g - w.interpolant()(t)) < swallow_radius:
             raise SwallowedError(t, g)
         h = min(h, T - t)
         coarse = _reference_rk4_step(w, t, g, h)
@@ -157,7 +158,7 @@ def _reference_forward_map(w, z, T):
         t += h
         if h < w.dt:
             h *= 2
-    if abs(g - w.at(T)) < swallow_radius:
+    if abs(g - w.interpolant()(T)) < swallow_radius:
         raise SwallowedError(T, g)
     return g
 
@@ -231,7 +232,7 @@ def test_trace_translation_covariance():
 
 def test_trace_brownian_scaling_exact():
     w = sample_sle_driving(3.0, 1.0, 1e-3, seed=11)
-    doubled = w.scaled(2.0)
+    doubled = DrivingFunction(dt=4 * w.dt, values=tuple(2 * v for v in w.values))
     assert doubled.dt == 4e-3
     left = trace(doubled).points
     right = trace(w).points

@@ -13,7 +13,6 @@ from loopcft.symbolic import (
     CC,
     LAMBDA,
     CoeffPoly,
-    GradingError,
     InsufficientOrderError,
     LaurentSeries,
     Partition,
@@ -28,7 +27,6 @@ from loopcft.symbolic import (
     rank,
     schwarzian,
     series_reversion,
-    solve_unique,
 )
 from loopcft.symbolic.poly import MAX_EXPONENT, MAX_INDEX
 
@@ -276,7 +274,7 @@ def test_equal_polynomials_built_by_different_routes_hash_equal():
         (x * 12 + A1 * A2) * Fraction(1, 12) - Fraction(1, 12) * A2 * A1,
         (x + Fraction(1, 7) * C) - C * Fraction(2, 14),
         (x * x - x * x) + x,
-        (A1 * A1 * Fraction(1, 12)).derivative(a(1)) + (AB1 * LAM + 1).map_coefficients(lambda c: c / 3) - Fraction(19, 12),
+        (A1 * A1 * Fraction(1, 12)).derivative(a(1)) + (AB1 * LAM + 1) * Fraction(1, 3) - Fraction(19, 12),
         x.swap_bars().swap_bars(),
     ]
     for other in routes:
@@ -294,30 +292,12 @@ def test_canonical_text_goldens():
     assert p.canonical_text().startswith("3/1*a1^2")
 
 
-def test_bidegree_examples():
-    assert (A1 * A1 * AB3).bidegree() == (2, 3)
-    assert (A2 - A1 * A1).bidegree() == (2, 0)
-    assert CoeffPoly.one().bidegree() == (0, 0)
-    with pytest.raises(GradingError):
-        (LAM * A1).bidegree()
-    # non-strict mode ignores scalar generators
-    assert (LAM * A1).bidegree(strict=False) == (1, 0)
-
-
 def test_substitute_is_partial_and_exact():
     p = LAM * A1 + C
     half = p.substitute({LAMBDA: Fraction(1, 2)})
     assert half == Fraction(1, 2) * A1 + C
     full = half.substitute({CC: Fraction(-2)})
     assert full == Fraction(1, 2) * A1 - 2
-
-
-def test_evaluate_complex():
-    p = A1 * A1 + 2 * AB1
-    val = p.evaluate({a(1): 1 + 2j, abar(1): 0.5})
-    assert val == (1 + 2j) ** 2 + 1.0
-    with pytest.raises(KeyError):
-        p.evaluate({a(1): 1.0})
 
 
 def test_floats_are_rejected_as_coefficients():
@@ -418,6 +398,12 @@ def univalent_cubic(order=7):
     return LaurentSeries(1, [CoeffPoly.one(), A1, A2, A3], order)
 
 
+def _agree(f, g):
+    """Equality below the smaller of the two reliability orders."""
+    order = min(f.order, g.order)
+    return f.truncate(order) == g.truncate(order)
+
+
 def test_reversion_goldens():
     f = LaurentSeries(1, [CoeffPoly.one(), A1], 5)
     g = series_reversion(f)
@@ -478,7 +464,7 @@ def test_schwarzian_moebius_invariance():
     numer = f.scale(2) + LaurentSeries.monomial(0, 1, None)
     denom = f.scale(Fraction(1, 3)) + LaurentSeries.monomial(0, 5, None)
     mf = numer * denom.inverse()
-    assert schwarzian(mf).agrees_with(schwarzian(f))
+    assert _agree(schwarzian(mf), schwarzian(f))
 
 
 def test_schwarzian_of_identity_is_zero():
@@ -566,7 +552,7 @@ def small_series(draw):
 @given(small_series(), small_series(), small_series())
 @settings(max_examples=60)
 def test_series_mul_is_associative_on_shared_window(f, g, h):
-    assert ((f * g) * h).agrees_with(f * (g * h))
+    assert _agree((f * g) * h, f * (g * h))
 
 
 @given(small_series(), small_series())
@@ -574,7 +560,7 @@ def test_series_mul_is_associative_on_shared_window(f, g, h):
 def test_series_derivative_product_rule(f, g):
     lhs = (f * g).derivative()
     rhs = f.derivative() * g + f * g.derivative()
-    assert lhs.agrees_with(rhs)
+    assert _agree(lhs, rhs)
 
 
 # -- the fused series products against the loops they replaced
@@ -840,10 +826,8 @@ def test_partition_basis_order_pins():
 
 
 def test_partition_validation_and_helpers():
-    p = Partition.of(2, 1, 2)
-    assert p.parts == (1, 2, 2)
-    assert p.weight == 5
-    assert p.multiplicity(2) == 2
+    p = Partition((1, 2, 2))
+    assert p.multiplicity_vector() == (1, 2, 0, 0, 0)
     assert p.multiplicity_vector(3) == (1, 2, 0)
     with pytest.raises(ValueError):
         Partition((2, 1))
@@ -953,11 +937,3 @@ def test_fraction_free_determinant_edge_cases():
     assert determinant([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 7]]) == Fraction(103, 30)
     with pytest.raises(ValueError):
         determinant([[1, 2]])
-
-
-def test_solve_unique_paths():
-    assert solve_unique([[2, 0], [0, 4]], [6, 8]) == [Fraction(3), Fraction(2)]
-    with pytest.raises(ValueError):
-        solve_unique([[1, 1]], [1])  # underdetermined
-    with pytest.raises(ValueError):
-        solve_unique([[1, 0], [1, 0]], [1, 2])  # inconsistent
