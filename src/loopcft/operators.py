@@ -39,7 +39,8 @@ defect from its algebra value (:func:`commutator_defect`) are all of
 that type, compared with ``==`` and tested with ``is_zero``.  Every
 component x of a bracket (``d_a[m]``, ``d_abar[m]``, Euler, identity) is
 ``u(t_x) - t(u_x) + n_u e_t u_x - n_t e_u t_x``, with ``u(.)`` the
-derivation part of u and ``e_u`` its Euler coefficient.
+derivation part of u and ``e_u`` its Euler coefficient: two
+:meth:`ModeOperator.derive` calls, each with its Euler term as the scalar.
 
 :func:`build_mode_operator`, the one construction the product path uses,
 builds the L family; an L-bar operator is only ever the mirror of L(n).
@@ -237,13 +238,13 @@ class ModeOperator:
             object.__setattr__(self, "_derivation", derivation)
         return poly.first_order(derivation, scalar, reach)
 
-    def derive(self, poly: CoeffPoly) -> CoeffPoly:
-        """The pure derivation part sum_g d_g * d/dg applied to a polynomial.
+    def derive(self, poly: CoeffPoly, scalar: CoeffPoly | None = None) -> CoeffPoly:
+        """The derivation part sum_g d_g * d/dg, plus ``scalar * poly``, on a polynomial.
 
         One pass of :meth:`CoeffPoly.first_order`: no per-generator
         temporaries, one reduction of the result.
         """
-        return self._act(poly)
+        return self._act(poly, None if scalar is None else scalar.prepared())
 
     def apply(self, state: StatePoly) -> StatePoly:
         """The whole operator on a state, derivation and scalar part in one pass.
@@ -361,51 +362,56 @@ def build_mode_operator(n: int, *, max_index: int = 8) -> ModeOperator:
     (S(G) o F) F'^2 = -S(F): substituting w = F(z) turns
     res_w[S(G) w^(n+1)] into res_z[S(F) q].  No series reversion is needed.
 
-    Budget: with w = max_index, every output reads coefficients below
-    z^(w+2) only (d_a[m] and d_abar[m] are the z^(m+1) coefficients of the
-    two motions, gamma is [z^1] q, theta needs q below z^0), so each
-    product's operands are cut to that bound.  q below z^(w+2) takes
-    F^(n+1) below z^(w+2), which for n >= 0 needs F only below z^(w+2-n),
-    and 1/F' below z^(w+1-n); F/F' - z takes F below z^(w+2) and 1/F'
-    below z^(w+1); the final products with F' take F' below z^w, because
-    their other factors start at z^2.  F itself is built to order
-    w + 2 + max(0, -n).
+    With gamma = [z^1] q / 2, d_a[m] and d_abar[m] are the z^(m+1)
+    coefficients of the interior motion (q_high - gamma (F/F' - z)) F' and
+    of the bar-conjugated exterior motion (-gamma (F/F' - z) - u_high) F',
+    where q_high keeps the powers z^2 and up of q and u_high is the
+    reflection sum_{p <= 0} -q_p z^(2-p) of its low part.  Two exact
+    identities remove every full-width product from these:
+    (i) q F' = -F^(n+1), and (ii) (F/F' - z) F' = F - z F', whose z^(m+1)
+    coefficient is -m a_m.  With F' = sum_j (j+1) a_j z^j, a_0 = 1, and the
+    low coefficients q_(n+1) .. q_1 of q, for m = 1..w (w = max_index):
+
+        d_a[m]    = -[z^(m+1)] F^(n+1) - sum_{i=n+1..1} q_i (m+2-i) a_(m+1-i)
+                    + gamma m a_m
+        d_abar[m] = gamma m abar_m + sum_{p=max(n+1, 1-m)..0} q_p (m+p) abar_(m-1+p)
+
+    with abar_0 = 1; these are the coefficient-coordinate formulas of
+    Kirillov and Yuriev (Funct. Anal. Appl. 21 (1987) 284-294).  For n >= 1
+    q starts at z^2, so d_abar = 0 and d_a[m] = -[z^(m+1)] F^(n+1).  The
+    low part of q is one short product: F^(n+1) below z^2 times 1/F' below
+    z^(1-n), the same part theta reads.  F^(n+1) is needed below z^(w+2);
+    for n < 0 the sums read a_j up to j = w - n, past the window, where
+    they cancel against F^(n+1), so F is built to order w + 2 + max(0, -n).
     """
     top = max_index + 2
     F = _coefficient_map(top + max(0, -n))
-    Fp = F.derivative()
-    Fp_inv = Fp.inverse()
     if n >= 0:
         # F^(n+1) starts at z^(n+1); keep F's lead even when nothing else is read
         power = F.truncate(max(2, top - n)) ** (n + 1)
-        q = -(power * Fp_inv.truncate(max(1, top - 1 - n)))
     else:
-        q = -(F ** (n + 1)) * Fp_inv
-    gamma = q.coefficient(1) * Fraction(1, 2)
-    s_minus_z = F.truncate(top) * Fp_inv.truncate(top - 1) - LaurentSeries.monomial(1, 1, None)
-    Fp_low = Fp.truncate(max_index)
+        power = F ** (n + 1)
+    q_low, theta = {}, _ZERO
+    if n <= 0:
+        head = F.truncate(2 - n)
+        q = -(power.truncate(2) * head.derivative().inverse())
+        q_low = {i: q.coefficient(i) for i in range(n + 1, 2)}
+        if n <= -2:
+            # only the z^-1 term of S(F) q is needed: S(F) through z^(-n-2), q through z^-1
+            theta = -(schwarzian(head) * q.truncate(0)).residue()
+    gamma = q_low.get(1, _ZERO) * Fraction(1, 2)
 
-    q_high = LaurentSeries.from_coefficients(
-        [(p, c) for p, c in q.coefficients() if 2 <= p < top], min(q.order, top)
-    )
-    f_dot = (q_high - s_minus_z.scale(gamma)) * Fp_low
-
-    # exterior side: the reflected low part of q, bar-conjugated
-    u_high = LaurentSeries.from_coefficients(
-        [(2 - p, -c.swap_bars()) for p, c in q.coefficients() if p <= 0 and 2 - p < top],
-        None,
-    )
-    m_ring = (s_minus_z.scale(-gamma.swap_bars()) - u_high) * Fp_low
-
-    window = range(1, max_index + 1)
-    d_a = {m: f_dot.coefficient(m + 1) for m in window}
-    d_abar = {m: m_ring.coefficient(m + 1).swap_bars() for m in window}
-
-    # only the z^-1 term of S(F) q is needed: S(F) through z^(-n-2), q through z^-1
-    if n <= -2:
-        theta = -(schwarzian(F.truncate(2 - n)) * q.truncate(0)).residue()
-    else:
-        theta = _ZERO
+    a = F.coeffs  # a[j] = [z^(j+1)] F = a_j, with a_0 = 1
+    abar = [c.swap_bars() for c in a[: max_index + 1]]
+    d_a, d_abar = {}, {}
+    for m in range(1, max_index + 1):
+        d_a[m] = CoeffPoly.sum_of_products(
+            [(c, a[m + 1 - i] * -(m + 2 - i)) for i, c in q_low.items()] + [(gamma, a[m] * m)]
+        ) - power.coefficient(m + 1)
+        d_abar[m] = CoeffPoly.sum_of_products(
+            [(c, abar[m - 1 + p] * (m + p)) for p, c in q_low.items() if 1 - m <= p <= 0]
+            + [(gamma, abar[m] * m)]
+        )
     return ModeOperator(
         mode=n,
         bar=False,
@@ -495,17 +501,13 @@ def commutator_parts(u: ModeOperator, t: ModeOperator) -> ModeOperator:
     if window < 1:
         raise OperatorWindowError("operators too narrow to bracket")
     nu, nt = u.mode, t.mode
+    # each side is one first-order pass with its Euler term as the scalar
+    u_scalar, t_scalar = u.e_coeff * -nt, t.e_coeff * -nu
 
     def part(u_x: CoeffPoly, t_x: CoeffPoly) -> CoeffPoly:
-        out = _ZERO
-        if not t_x.is_zero:
-            out = out + u.derive(t_x)
-            if not u.e_coeff.is_zero:
-                out = out - nt * u.e_coeff * t_x
+        out = u.derive(t_x, u_scalar) if not t_x.is_zero else _ZERO
         if not u_x.is_zero:
-            out = out - t.derive(u_x)
-            if not t.e_coeff.is_zero:
-                out = out + nu * t.e_coeff * u_x
+            out = out - t.derive(u_x, t_scalar)
         return out
 
     indices = range(1, window + 1)

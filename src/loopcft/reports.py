@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -63,8 +62,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
-
-log = logging.getLogger("loopcft.reports")
 
 _LAM = CoeffPoly.generator(LAMBDA)
 _C = CoeffPoly.generator(CC)
@@ -259,7 +256,12 @@ class Report:
         try:
             ok, witness = fn()
         except Exception as exc:
-            log.debug("check %r of suite %s raised", name, self.suite, exc_info=True)
+            # logging costs start-up time, so it is imported only when a check raises
+            import logging
+
+            logging.getLogger("loopcft.reports").debug(
+                "check %r of suite %s raised", name, self.suite, exc_info=True
+            )
             ok, witness = False, f"{type(exc).__name__}: {exc}"
         self.checks.append(
             CheckRecord(

@@ -28,13 +28,11 @@ class Partition:
         if any(a > b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"partition parts must ascend, got {self.parts}")
 
-    def multiplicity_vector(self, size: int | None = None) -> tuple[int, ...]:
-        """(k_1, ..., k_size) with k_i the number of parts equal to i."""
-        n = sum(self.parts) if size is None else size
-        vec = [0] * n
+    def multiplicity_vector(self) -> tuple[int, ...]:
+        """(k_1, ..., k_n) with n the sum of the parts and k_i the number of parts equal to i."""
+        vec = [0] * sum(self.parts)
         for p in self.parts:
-            if p <= n:
-                vec[p - 1] += 1
+            vec[p - 1] += 1
         return tuple(vec)
 
     def __iter__(self) -> Iterator[int]:
@@ -67,7 +65,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     items = [Partition(parts) for parts in _partitions_raw(n, n if n else 1)]
-    items.sort(key=lambda p: p.multiplicity_vector(n), reverse=True)
+    items.sort(key=lambda p: p.multiplicity_vector(), reverse=True)
     return tuple(items)
 
 

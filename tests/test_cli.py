@@ -4,6 +4,7 @@ loads."""
 import ast
 import importlib
 import json
+import logging
 import os
 import pkgutil
 import subprocess
@@ -278,6 +279,22 @@ def test_exception_inside_a_check_becomes_a_failure(runner, monkeypatch):
     assert any(c["status"] == "pass" for c in report["checks"])
 
 
+def test_a_raising_check_logs_its_traceback_at_debug(runner, monkeypatch, caplog):
+    from loopcft import reports
+
+    def broken(level):
+        raise AssertionError("gram matrix unavailable")
+
+    monkeypatch.setattr(reports, "gram_matrix", broken)
+    with caplog.at_level(logging.DEBUG, logger="loopcft.reports"):
+        result = runner.invoke(main, ["kac", "--level", "2", "--kappa", "3/1"])
+    assert result.exit_code == 1
+    records = [r for r in caplog.records if r.name == "loopcft.reports"]
+    assert records and all(r.levelno == logging.DEBUG for r in records)
+    assert "level-2 matrix" in records[0].getMessage()
+    assert records[0].exc_info[0] is AssertionError
+
+
 @pytest.mark.parametrize("error", [RuntimeError, ValueError])
 def test_failing_kac_determinant_is_a_check_failure(runner, monkeypatch, error):
     from loopcft import reports
@@ -540,6 +557,16 @@ def _fresh_python(script: str):
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def test_importing_the_cli_leaves_logging_unloaded():
+    # reports imports logging only when a check raises
+    loaded = _fresh_python("""
+        import json, sys
+        import loopcft.cli
+        json.dump("logging" in sys.modules, sys.stdout)
+    """)
+    assert loaded is False
 
 
 def test_exact_subcommands_run_without_numpy():

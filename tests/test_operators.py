@@ -909,8 +909,8 @@ def test_constraint_solver_recovers_mode_minus_two():
 # ---------------------------------------------------------------------------
 
 
-# The build as it was before each product's operands were cut to the
-# z^(max_index + 2) budget: every series runs to the nominal order and
+# The series form of the build, which the closed form replaced: both motions
+# are full products with F', every series runs to the nominal order, and
 # negative powers go through inverse() and binary powering.
 def _reference_welding_build(n: int, max_index: int, series_order: int | None) -> ModeOperator:
     """The L-family operator of mode n from the welded deformation fields.
@@ -994,6 +994,37 @@ def test_welding_build_ignores_series_order_padding(window):
         assert build_mode_operator(n, max_index=window) == _reference_welding_build(
             n, window, padded
         ), n
+
+
+@pytest.mark.parametrize("window", range(1, 5))
+def test_welding_build_matches_both_oracles_on_deep_modes(window):
+    # below -8 the residue route sees only the Euler and identity parts
+    for n in range(-12, -8):
+        built = build_mode_operator(n, max_index=window)
+        assert built == _reference_welding_build(n, window, None), n
+        assert built == recursion_mode_operator(n, max_index=window), n
+
+
+@pytest.mark.parametrize("window", [1, 4, 8])
+def test_series_identities_behind_the_closed_form_build(window):
+    """(i) q F' = -F^(n+1) and (ii) (F/F' - z) F' = F - z F' = -sum_m m a_m z^(m+1), below z^(w+2)."""
+    top = window + 2
+    for n in range(-8, 9):
+        F = _coefficient_map(top + max(0, -n))
+        Fp = F.derivative()
+        power = F ** (n + 1)
+        q = -(power * Fp.inverse())
+        product = q * Fp
+        for p in range(n + 1, top):
+            assert product.coefficient(p) == -power.coefficient(p), (n, p)
+    F = _coefficient_map(top)
+    Fp = F.derivative()
+    z = LaurentSeries.monomial(1, 1, None)
+    product = (F * Fp.inverse() - z) * Fp
+    difference = F - z * Fp
+    for m in range(top - 1):
+        want = CoeffPoly.generator(a(m)) * -m if m else ZERO
+        assert product.coefficient(m + 1) == difference.coefficient(m + 1) == want, m
 
 
 # ---------------------------------------------------------------------------

@@ -828,7 +828,6 @@ def test_partition_basis_order_pins():
 def test_partition_validation_and_helpers():
     p = Partition((1, 2, 2))
     assert p.multiplicity_vector() == (1, 2, 0, 0, 0)
-    assert p.multiplicity_vector(3) == (1, 2, 0)
     with pytest.raises(ValueError):
         Partition((2, 1))
     with pytest.raises(ValueError):
