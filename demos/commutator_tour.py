@@ -21,7 +21,7 @@ from loopcft.symbolic import CC, LAMBDA, CoeffPoly, a
 
 def show_operator(table: OperatorTable, n: int) -> None:
     op = table.L(n)
-    print(f"mode {n}  (window {op.max_index}, built by {op.provenance})")
+    print(f"mode {n}  (window {op.max_index})")
     print(f"  euler coefficient : {op.e_coeff.canonical_text() or '0'}")
     print(f"  identity part     : {op.id_coeff.canonical_text() or '0'}")
     for m in sorted(op.d_a):

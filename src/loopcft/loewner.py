@@ -106,7 +106,7 @@ class Trace:
     points: tuple[complex, ...]
 
     def __post_init__(self):
-        if self.points[0] != 0:
+        if not self.points or self.points[0] != 0:
             raise ValueError("traces start at the origin")
         if any(p.imag < 0 for p in self.points):
             raise ValueError("trace points must stay in the closed upper half-plane")

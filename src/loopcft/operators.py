@@ -42,11 +42,10 @@ component x of a bracket (``d_a[m]``, ``d_abar[m]``, Euler, identity) is
 derivation part of u and ``e_u`` its Euler coefficient: two
 :meth:`ModeOperator.derive` calls, each with its Euler term as the scalar.
 
-:func:`build_mode_operator`, the one construction the product path uses,
-builds the L family; an L-bar operator is only ever the mirror of L(n).
-:func:`recursion_mode_operator` builds the modes below -2 from nested
-brackets of L_{-1} and L_{-2} instead; it is kept only as an oracle that
-never reads the welding series of the deep modes.
+:func:`build_mode_operator`, the one construction, builds the L family;
+an L-bar operator is only ever the mirror of L(n).  The tests hold the
+deep modes against a bracket recursion from L_{-1} and L_{-2}, an oracle
+that lives with them (``tests/oracles.py``).
 
 Every coefficient polynomial is extracted from exact truncated-series
 computations with tracked reliability; nothing here ever truncates
@@ -72,8 +71,6 @@ from .symbolic import (
     a as gen_a,
     abar as gen_abar,
     partition_parts,
-    partitions_of,
-    rank as matrix_rank,
     schwarzian,
     series_reversion,
 )
@@ -86,7 +83,6 @@ __all__ = [
     "ModeOperator",
     "OperatorTable",
     "build_mode_operator",
-    "recursion_mode_operator",
     "varpi",
     "vartheta",
     "commutator_parts",
@@ -96,7 +92,6 @@ __all__ = [
     "psi_state",
     "geometric_pairing",
     "duality_pairing",
-    "level_rank",
     "state_family_residuals",
 ]
 
@@ -137,9 +132,6 @@ class StatePoly:
     def is_zero(self) -> bool:
         return self.poly.is_zero
 
-    def max_index(self) -> int:
-        return self.poly.max_coefficient_index()
-
     def scale(self, factor: CoeffPoly | Fraction | int) -> "StatePoly":
         if isinstance(factor, (int, Fraction)):
             factor = CoeffPoly.constant(factor)
@@ -159,9 +151,6 @@ class StatePoly:
         if self.level != other.level:
             raise ValueError(f"cannot add states at levels {self.level} and {other.level}")
         return StatePoly(op(self.poly, other.poly), self.level)
-
-    def substitute(self, assignment) -> "StatePoly":
-        return StatePoly(self.poly.substitute(assignment), self.level)
 
     def __repr__(self) -> str:
         return f"StatePoly({self.poly.canonical_text()!r}, level={self.level})"
@@ -201,7 +190,6 @@ class ModeOperator:
     id_coeff: CoeffPoly
     d_a: Mapping[int, CoeffPoly]
     d_abar: Mapping[int, CoeffPoly]
-    provenance: str = field(compare=False, default="")
     # the derivation part prepared for CoeffPoly.first_order, built on first use
     _derivation: Derivation | None = field(init=False, compare=False, repr=False, default=None)
     # the prepared scalar part at each total level N + Ntilde, filled on first use
@@ -278,7 +266,6 @@ class ModeOperator:
             id_coeff=self.id_coeff.swap_bars(),
             d_a={m: c.swap_bars() for m, c in self.d_abar.items()},
             d_abar={m: c.swap_bars() for m, c in self.d_a.items()},
-            provenance=self.provenance + "|mirrored",
         )
 
     def restricted(self, max_index: int) -> "ModeOperator":
@@ -299,7 +286,6 @@ class ModeOperator:
             max_index=max_index,
             d_a={m: c for m, c in self.d_a.items() if m <= max_index},
             d_abar={m: c for m, c in self.d_abar.items() if m <= max_index},
-            provenance=f"{self.provenance}|restricted({max_index})",
         )
         object.__setattr__(op, "_scalars", self._scalars)
         return op
@@ -312,7 +298,6 @@ class ModeOperator:
             id_coeff=self.id_coeff * factor,
             d_a={m: c * factor for m, c in self.d_a.items()},
             d_abar={m: c * factor for m, c in self.d_abar.items()},
-            provenance=f"{self.provenance}|scaled({factor})",
         )
 
     def __sub__(self, other: "ModeOperator") -> "ModeOperator":
@@ -333,12 +318,11 @@ class ModeOperator:
                  for m in self.d_a.keys() | other.d_a.keys()},
             d_abar={m: self.d_abar.get(m, _ZERO) - other.d_abar.get(m, _ZERO)
                     for m in self.d_abar.keys() | other.d_abar.keys()},
-            provenance=f"{self.provenance}|minus({other.provenance})",
         )
 
     def __repr__(self) -> str:
         family = "Lbar" if self.bar else "L"
-        return f"<{family}_{self.mode} up to index {self.max_index} via {self.provenance}>"
+        return f"<{family}_{self.mode} up to index {self.max_index}>"
 
 
 def _coefficient_map(order: int) -> LaurentSeries:
@@ -420,31 +404,7 @@ def build_mode_operator(n: int, *, max_index: int = 8) -> ModeOperator:
         id_coeff=-(_C * theta) * Fraction(1, 12) if not theta.is_zero else _ZERO,
         d_a=d_a,
         d_abar=d_abar,
-        provenance="welding",
     )
-
-
-def recursion_mode_operator(n: int, max_index: int = 8) -> ModeOperator:
-    """Mode n below -2 from nested brackets of adjacent modes.
-
-    An oracle independent of the welding series for the deep modes:
-    ``L_{-(j+1)} = [L_{-1}, L_{-j}] / (j - 1)``, starting from the welded
-    L_{-1} and L_{-2} at windows wide enough that the result covers
-    exactly ``max_index``.
-    """
-    if n > -3:
-        raise ValueError("the bracket recursion only defines modes below -2")
-    depth = -n
-    current = build_mode_operator(-2, max_index=max_index + depth - 2)
-    step = build_mode_operator(-1, max_index=max_index + depth - 1)
-    for j in range(2, depth):
-        current = replace(
-            commutator_parts(step, current).scaled(Fraction(1, j - 1)),
-            provenance=f"recursion(depth={j + 1})",
-        )
-    if current.max_index < max_index:
-        raise OperatorWindowError("recursion lost more index coverage than expected")
-    return current
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +479,6 @@ def commutator_parts(u: ModeOperator, t: ModeOperator) -> ModeOperator:
         id_coeff=part(u.id_coeff, t.id_coeff),
         d_a={m: part(u.d_a.get(m, _ZERO), t.d_a.get(m, _ZERO)) for m in indices},
         d_abar={m: part(u.d_abar.get(m, _ZERO), t.d_abar.get(m, _ZERO)) for m in indices},
-        provenance="bracket",
     )
 
 
@@ -663,29 +622,6 @@ def duality_pairing(k: Partition | Sequence[int], table: OperatorTable) -> Coeff
     """Raising word of k applied to the coefficient monomial of k."""
     state = fresh_state(_coefficient_monomial(k))
     return _vacuum_coefficient(_apply_word(raising_word(k), state, table))
-
-
-def level_rank(
-    level: int,
-    weight: Fraction | int,
-    charge: Fraction | int,
-    table: OperatorTable,
-) -> int:
-    """Rank of the lowered states at a pure left level, specialized exactly."""
-    if level == 0:
-        return 1
-    assignment = {LAMBDA: Fraction(weight), CC: Fraction(charge)}
-    basis = partitions_of(level)
-    monomials = [next(iter(_coefficient_monomial(p).terms()))[0] for p in basis]
-    index = {mono: i for i, mono in enumerate(monomials)}
-    rows = []
-    for p in basis:
-        state = psi_state(p, (), table).substitute(assignment)
-        row = [Fraction(0)] * len(monomials)
-        for mono, coeff in state.poly.terms():
-            row[index[mono]] = coeff
-        rows.append(row)
-    return matrix_rank(rows)
 
 
 # ---------------------------------------------------------------------------

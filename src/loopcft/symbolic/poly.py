@@ -468,7 +468,13 @@ class CoeffPoly:
     # -- calculus and structure ----------------------------------------
 
     def derivative(self, gen: Generator) -> "CoeffPoly":
-        """Exact partial derivative with respect to one generator."""
+        """Exact partial derivative with respect to one generator.
+
+        The product path differentiates through :meth:`first_order` and
+        never calls this; the tests use it as the per-generator oracle for
+        that kernel.  It stays on the class because ``perfbench/tracer.py``
+        wraps it by name for its ``poly.derivative`` counters.
+        """
         shift = _shift(gen.kind, gen.index)
         if shift is None:
             return CoeffPoly.zero()
@@ -630,33 +636,6 @@ class CoeffPoly:
             pieces.append("*".join(factors))
         return " + ".join(pieces)
 
-    @staticmethod
-    def from_canonical_text(text: str) -> "CoeffPoly":
-        """Inverse of :meth:`canonical_text` (tolerant of whitespace)."""
-        text = text.strip()
-        if not text:
-            raise ValueError("empty polynomial text")
-        terms: dict[Monomial, Fraction] = {}
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ValueError("malformed polynomial text (dangling '+')")
-            factors = chunk.split("*")
-            coef = Fraction(factors[0])
-            mono: list[tuple[int, int, int]] = []
-            for factor in factors[1:]:
-                if "^" in factor:
-                    name, _, exp_s = factor.partition("^")
-                    exp = int(exp_s)
-                else:
-                    name, exp = factor, 1
-                gen = _parse_generator_name(name)
-                mono.append((gen.kind, gen.index, exp))
-            key = tuple(sorted(mono, key=lambda t: (t[0], t[1])))
-            if coef:
-                terms[key] = terms.get(key, Fraction(0)) + coef
-        return CoeffPoly({m: c for m, c in terms.items() if c})
-
     def __repr__(self) -> str:
         return f"CoeffPoly({self.canonical_text()})"
 
@@ -693,15 +672,3 @@ def _weighted_degree(mono: int) -> tuple[int, int]:
             right += index * exp
     return (left, right)
 
-
-def _parse_generator_name(name: str) -> Generator:
-    name = name.strip()
-    if name == "lambda":
-        return LAMBDA
-    if name == "c":
-        return CC
-    if name.startswith("abar"):
-        return abar(int(name[4:]))
-    if name.startswith("a"):
-        return a(int(name[1:]))
-    raise ValueError(f"unknown generator name {name!r}")

@@ -1,0 +1,168 @@
+"""Independent oracles that the tests hold the product path against.
+
+None of these runs in a report.  Each recomputes an object of ``loopcft``
+by a route that the product path does not take:
+
+* :func:`recursion_mode_operator` builds the modes below -2 from nested
+  brackets of L_{-1} and L_{-2}, never reading the welding series of the
+  deep modes (oracle for :func:`loopcft.operators.build_mode_operator`);
+* :func:`level_rank` is the rank of the geometric lowered states at a pure
+  left level, specialized exactly (oracle for
+  :func:`loopcft.verma.gram_rank_at`);
+* :func:`normal_order` straightens a whole word against the Virasoro
+  relation (oracle for the first-mode recursion of
+  :func:`loopcft.verma.gram_entry`), with :func:`vacuum`,
+  :func:`basis_vector` and :func:`apply_word` to build its vectors;
+* :func:`from_canonical_text` parses canonical polynomial text (round-trip
+  oracle for :meth:`loopcft.symbolic.CoeffPoly.canonical_text`).
+
+The tests import them as ``from oracles import ...``: pytest's default
+import mode puts this directory on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from loopcft.operators import (
+    ModeOperator,
+    OperatorTable,
+    OperatorWindowError,
+    _coefficient_monomial,
+    build_mode_operator,
+    commutator_parts,
+    psi_state,
+)
+from loopcft.symbolic import (
+    CC,
+    LAMBDA,
+    CoeffPoly,
+    Generator,
+    Partition,
+    a,
+    abar,
+    partition_parts,
+    partitions_of,
+    rank as matrix_rank,
+)
+from loopcft.symbolic.poly import Monomial
+from loopcft.verma import VermaVector, apply_mode
+
+# ---------------------------------------------------------------------------
+# geometric realization
+# ---------------------------------------------------------------------------
+
+
+def recursion_mode_operator(n: int, max_index: int = 8) -> ModeOperator:
+    """Mode n below -2 from nested brackets of adjacent modes.
+
+    An oracle independent of the welding series for the deep modes:
+    ``L_{-(j+1)} = [L_{-1}, L_{-j}] / (j - 1)``, starting from the welded
+    L_{-1} and L_{-2} at windows wide enough that the result covers
+    exactly ``max_index``.
+    """
+    if n > -3:
+        raise ValueError("the bracket recursion only defines modes below -2")
+    depth = -n
+    current = build_mode_operator(-2, max_index=max_index + depth - 2)
+    step = build_mode_operator(-1, max_index=max_index + depth - 1)
+    for j in range(2, depth):
+        current = commutator_parts(step, current).scaled(Fraction(1, j - 1))
+    if current.max_index < max_index:
+        raise OperatorWindowError("recursion lost more index coverage than expected")
+    return current
+
+
+def level_rank(
+    level: int,
+    weight: Fraction | int,
+    charge: Fraction | int,
+    table: OperatorTable,
+) -> int:
+    """Rank of the lowered states at a pure left level, specialized exactly."""
+    if level == 0:
+        return 1
+    assignment = {LAMBDA: Fraction(weight), CC: Fraction(charge)}
+    basis = partitions_of(level)
+    monomials = [next(iter(_coefficient_monomial(p).terms()))[0] for p in basis]
+    index = {mono: i for i, mono in enumerate(monomials)}
+    rows = []
+    for p in basis:
+        poly = psi_state(p, (), table).poly.substitute(assignment)
+        row = [Fraction(0)] * len(monomials)
+        for mono, coeff in poly.terms():
+            row[index[mono]] = coeff
+        rows.append(row)
+    return matrix_rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# abstract Verma module
+# ---------------------------------------------------------------------------
+
+
+def vacuum() -> VermaVector:
+    """The highest-weight vector itself."""
+    return VermaVector({(): CoeffPoly.one()})
+
+
+def basis_vector(partition: Partition | Sequence[int]) -> VermaVector:
+    return VermaVector({partition_parts(partition): CoeffPoly.one()})
+
+
+def apply_word(word: Sequence[int], vector: VermaVector) -> VermaVector:
+    """Apply a word of modes, rightmost first (operator composition order)."""
+    for n in reversed(tuple(word)):
+        vector = apply_mode(n, vector)
+    return vector
+
+
+def normal_order(word: Sequence[int]) -> VermaVector:
+    """The word applied to the highest-weight vector, fully straightened."""
+    return apply_word(word, vacuum())
+
+
+# ---------------------------------------------------------------------------
+# canonical polynomial text
+# ---------------------------------------------------------------------------
+
+
+def from_canonical_text(text: str) -> CoeffPoly:
+    """Inverse of :meth:`CoeffPoly.canonical_text` (tolerant of whitespace)."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty polynomial text")
+    terms: dict[Monomial, Fraction] = {}
+    for chunk in text.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError("malformed polynomial text (dangling '+')")
+        factors = chunk.split("*")
+        coef = Fraction(factors[0])
+        mono: list[tuple[int, int, int]] = []
+        for factor in factors[1:]:
+            if "^" in factor:
+                name, _, exp_s = factor.partition("^")
+                exp = int(exp_s)
+            else:
+                name, exp = factor, 1
+            gen = _parse_generator_name(name)
+            mono.append((gen.kind, gen.index, exp))
+        key = tuple(sorted(mono, key=lambda t: (t[0], t[1])))
+        if coef:
+            terms[key] = terms.get(key, Fraction(0)) + coef
+    return CoeffPoly({m: c for m, c in terms.items() if c})
+
+
+def _parse_generator_name(name: str) -> Generator:
+    name = name.strip()
+    if name == "lambda":
+        return LAMBDA
+    if name == "c":
+        return CC
+    if name.startswith("abar"):
+        return abar(int(name[4:]))
+    if name.startswith("a"):
+        return a(int(name[1:]))
+    raise ValueError(f"unknown generator name {name!r}")

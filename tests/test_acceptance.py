@@ -18,8 +18,6 @@ from loopcft.operators import (
     commutator_defect,
     duality_pairing,
     geometric_pairing,
-    level_rank,
-    recursion_mode_operator,
     state_family_residuals,
     vacuum_state,
 )
@@ -32,6 +30,7 @@ from loopcft.verma import (
     kac_determinant,
     kac_lambda,
 )
+from oracles import level_rank, recursion_mode_operator
 
 LAM = CoeffPoly.generator(LAMBDA)
 C = CoeffPoly.generator(CC)

@@ -476,22 +476,12 @@ def test_every_exported_name_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-# Public names that nothing in src/, demos/ or perfbench/ references: the
-# oracles that tests name, with the reason each is kept.
-_UNREFERENCED_PUBLIC_NAMES = {
-    "normal_order": "PBW straightening, the oracle for the Gram entry recursion",
-    "basis_vector": "builds the Verma states that the straightening tests pair",
-    "recursion_mode_operator": "bracket recursion, the oracle for the deep welding builds",
-    "from_canonical_text": "parser, the round-trip oracle for canonical text",
-    "level_rank": "ROADMAP item 2 gives it a product caller",
-}
-
-
 def test_every_public_name_has_a_caller_or_is_a_named_oracle():
     # Every name in a module's __all__, and every public method or property
     # of an exported class, must be referenced (as a Name or an Attribute)
-    # in src/, demos/ or perfbench/ outside its own definition.  Matching is
-    # by name, so this is a floor, not a proof: a member that shares its
+    # in src/, demos/ or perfbench/ outside its own definition.  An oracle
+    # that only tests call lives in tests/oracles.py, not in src/.  Matching
+    # is by name, so this is a floor, not a proof: a member that shares its
     # name with an attribute used elsewhere passes.
     root = Path(__file__).resolve().parents[1]
     trees = {
@@ -538,7 +528,7 @@ def test_every_public_name_has_a_caller_or_is_a_named_oracle():
                         and not referenced(member.name, path, member)
                     ):
                         unreferenced.add(member.name)
-    assert unreferenced == set(_UNREFERENCED_PUBLIC_NAMES)
+    assert unreferenced == set()
 
 
 # ---------------------------------------------------------------------------

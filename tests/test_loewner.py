@@ -330,6 +330,8 @@ def test_trace_type_validation():
         Trace(dt=0.1, points=(1 + 0j, 2j))
     with pytest.raises(ValueError):
         Trace(dt=0.1, points=(0j, -1j))
+    with pytest.raises(ValueError, match="origin"):
+        Trace(dt=0.1, points=())
 
 
 # ---------------------------------------------------------------------------

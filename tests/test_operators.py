@@ -27,9 +27,7 @@ from loopcft.operators import (
     duality_pairing,
     fresh_state,
     geometric_pairing,
-    level_rank,
     psi_state,
-    recursion_mode_operator,
     state_family_residuals,
     vacuum_state,
     varpi,
@@ -51,7 +49,8 @@ from loopcft.symbolic import (
     series_reversion,
 )
 from loopcft.symbolic.poly import MAX_EXPONENT
-from loopcft.verma import central_charge, gram_entry, kac_lambda
+from loopcft.verma import central_charge, gram_entry, gram_rank_at, kac_lambda
+from oracles import level_rank, recursion_mode_operator
 
 LAM = CoeffPoly.generator(LAMBDA)
 C = CoeffPoly.generator(CC)
@@ -681,6 +680,21 @@ def test_level_ranks(table):
     assert level_rank(2, Fraction(1, 2), charge, table) == 1
 
 
+@pytest.mark.parametrize("kappa", [Fraction(8, 3), Fraction(3), Fraction(29, 11)], ids=str)
+def test_geometric_rank_matches_gram_rank_at_every_kac_weight(kappa):
+    # every lambda_{r,s} with rs <= N, plus one weight off the table; at
+    # kappa = 8/3 several (r, s) share a weight and kernels pass dimension 1
+    table = OperatorTable(max_index=6)
+    charge = central_charge(kappa)
+    for level in range(7):
+        weights = {
+            kac_lambda(r, s, kappa) for r in range(1, level + 1) for s in range(1, level // r + 1)
+        }
+        for weight in sorted(weights | {Fraction(5, 7)}):
+            want = gram_rank_at(level, weight, charge)
+            assert level_rank(level, weight, charge, table) == want, (level, weight)
+
+
 def test_singular_combination_vanishes_along_family(table):
     v = vacuum_state()
     quad = table.L(-1).apply(table.L(-1).apply(v))
@@ -862,7 +876,7 @@ def test_constraint_solver_recovers_mode_minus_two():
         for s in states:
             # same family: [L_up, T] s == (up + 2) L_{up-2} s (+ central at 2)
             # mirror family: [Lbar_up, T] s == 0
-            if upper_mode < 0 and s.max_index() >= window:
+            if upper_mode < 0 and s.poly.max_coefficient_index() >= window:
                 continue  # keep the unknown operator inside its index window
             t_s = _apply_unknown(unknowns, g, idc, s)
             mid_level = (s.level[0] + 2, s.level[1])

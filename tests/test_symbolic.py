@@ -29,6 +29,7 @@ from loopcft.symbolic import (
     series_reversion,
 )
 from loopcft.symbolic.poly import MAX_EXPONENT, MAX_INDEX
+from oracles import from_canonical_text
 
 A1 = CoeffPoly.generator(a(1))
 A2 = CoeffPoly.generator(a(2))
@@ -77,7 +78,7 @@ def test_ring_laws(p, q, r):
 
 @given(polys())
 def test_canonical_text_round_trip(p):
-    assert CoeffPoly.from_canonical_text(p.canonical_text()) == p
+    assert from_canonical_text(p.canonical_text()) == p
 
 
 @given(polys(), polys())
@@ -260,7 +261,7 @@ def test_terms_of_zero_and_constants():
 
 @given(mixed_polys())
 def test_canonical_text_round_trip_mixed_denominators(p):
-    back = CoeffPoly.from_canonical_text(p.canonical_text())
+    back = from_canonical_text(p.canonical_text())
     assert back == p
     assert back.canonical_text() == p.canonical_text()
 
@@ -270,7 +271,7 @@ def test_equal_polynomials_built_by_different_routes_hash_equal():
     routes = [
         x,
         CoeffPoly({((0, 1, 1),): Fraction(1, 6), ((1, 1, 1), (2, 0, 1)): Fraction(1, 3), (): Fraction(-5, 4)}),
-        CoeffPoly.from_canonical_text(x.canonical_text()),
+        from_canonical_text(x.canonical_text()),
         (x * 12 + A1 * A2) * Fraction(1, 12) - Fraction(1, 12) * A2 * A1,
         (x + Fraction(1, 7) * C) - C * Fraction(2, 14),
         (x * x - x * x) + x,
@@ -287,7 +288,7 @@ def test_equal_polynomials_built_by_different_routes_hash_equal():
 def test_canonical_text_goldens():
     assert CoeffPoly.zero().canonical_text() == "0/1"
     p = 3 * A1 * A1 - Fraction(1, 2) * AB3 + 4
-    assert CoeffPoly.from_canonical_text(p.canonical_text()) == p
+    assert from_canonical_text(p.canonical_text()) == p
     # graded ordering puts the heaviest monomial first
     assert p.canonical_text().startswith("3/1*a1^2")
 

@@ -11,7 +11,6 @@ from loopcft.symbolic import CC, LAMBDA, CoeffPoly, partition_count, partitions_
 from loopcft.verma import (
     VermaVector,
     apply_mode,
-    basis_vector,
     central_charge,
     cocycle,
     gram_entry,
@@ -22,11 +21,10 @@ from loopcft.verma import (
     kac_determinant_at,
     kac_lambda,
     lowering_word,
-    normal_order,
     raising_word,
     singular_vectors,
-    vacuum,
 )
+from oracles import basis_vector, normal_order, vacuum
 
 LAM = CoeffPoly.generator(LAMBDA)
 C = CoeffPoly.generator(CC)
