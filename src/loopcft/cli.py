@@ -8,6 +8,7 @@ seed any knob; explicit flags always win over the file.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import click
@@ -16,7 +17,6 @@ from . import __version__
 from .reports import (
     Report,
     RunConfig,
-    kappa_in_range,
     report_all,
     suite_bubble,
     suite_commutators,
@@ -32,10 +32,7 @@ _CONFIG_HELP = "JSON config file with flat keys; explicit flags override it."
 
 
 def _config(ctx: click.Context, **overrides) -> RunConfig:
-    try:
-        return RunConfig.from_sources(ctx.obj.get("config_path"), overrides)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return RunConfig.from_sources(ctx.obj.get("config_path"), overrides)
 
 
 def _emit(ctx: click.Context, report: Report, output: str | None) -> None:
@@ -44,20 +41,21 @@ def _emit(ctx: click.Context, report: Report, output: str | None) -> None:
     if destination in (None, "-"):
         click.echo(text)
     else:
-        try:
-            Path(destination).write_text(text + "\n")
-        except OSError as exc:
-            raise click.UsageError(f"cannot write the report: {exc}") from exc
+        Path(destination).write_text(text + "\n")
         click.echo(f"report written to {destination}", err=True)
     ctx.exit(0 if report.overall == "pass" else 1)
 
 
-def _run_suite(ctx: click.Context, suite, cfg: RunConfig, output: str | None, **kw):
+def _run_suite(ctx: click.Context, suite, output: str | None, **overrides) -> None:
+    """Parse the config, run ``suite`` and emit its report: the one error
+    boundary.  A ``ValueError`` (bad config, refused knob) or an ``OSError``
+    (unwritable report or export path) exits 2; click exits 1 on a closed stdout."""
     try:
-        report = suite(cfg, **kw)
-    except ValueError as exc:
+        _emit(ctx, suite(_config(ctx, **overrides)), output)
+    except BrokenPipeError:
+        raise
+    except (ValueError, OSError) as exc:
         raise click.UsageError(str(exc)) from exc
-    _emit(ctx, report, output)
 
 
 _output_option = click.option(
@@ -88,8 +86,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 @click.pass_context
 def verify_commutators(ctx, max_mode, max_degree, output):
     """Check every bracket relation on a shared operator window."""
-    cfg = _config(ctx, max_mode=max_mode, max_degree=max_degree)
-    _run_suite(ctx, suite_commutators, cfg, output)
+    _run_suite(ctx, suite_commutators, output, max_mode=max_mode, max_degree=max_degree)
 
 
 @main.command("gram")
@@ -100,8 +97,7 @@ def verify_commutators(ctx, max_mode, max_degree, output):
 @click.pass_context
 def gram(ctx, level, kappa, weight, output):
     """Geometric pairings against the abstract Gram form, plus an inverse."""
-    cfg = _config(ctx, level=level, kappa=kappa, weight=weight)
-    _run_suite(ctx, suite_gram, cfg, output)
+    _run_suite(ctx, suite_gram, output, level=level, kappa=kappa, weight=weight)
 
 
 @main.command("kac")
@@ -111,8 +107,7 @@ def gram(ctx, level, kappa, weight, output):
 @click.pass_context
 def kac(ctx, level, kappa, output):
     """Determinant of the Gram form and its degenerate-weight roots."""
-    cfg = _config(ctx, level=level, kappa=kappa)
-    _run_suite(ctx, suite_kac, cfg, output)
+    _run_suite(ctx, suite_kac, output, level=level, kappa=kappa)
 
 
 @main.command("singular")
@@ -122,8 +117,7 @@ def kac(ctx, level, kappa, output):
 @click.pass_context
 def singular(ctx, level, kappa, output):
     """Null states along the degenerate families and their rank drops."""
-    cfg = _config(ctx, level=level, kappa=kappa)
-    _run_suite(ctx, suite_singular, cfg, output)
+    _run_suite(ctx, suite_singular, output, level=level, kappa=kappa)
 
 
 @main.command("operators")
@@ -133,8 +127,7 @@ def singular(ctx, level, kappa, output):
 @click.pass_context
 def operators(ctx, max_mode, max_degree, output):
     """Degree structure, scalar anchors, and duality of the mode operators."""
-    cfg = _config(ctx, max_mode=max_mode, max_degree=max_degree)
-    _run_suite(ctx, suite_operators, cfg, output)
+    _run_suite(ctx, suite_operators, output, max_mode=max_mode, max_degree=max_degree)
 
 
 @main.command("reflection")
@@ -144,8 +137,7 @@ def operators(ctx, max_mode, max_degree, output):
 @click.pass_context
 def reflection(ctx, kappa, weight, output):
     """Reflection coefficient: normalization, first pole, spot values."""
-    cfg = _config(ctx, kappa=kappa, weight=weight)
-    _run_suite(ctx, suite_reflection, cfg, output)
+    _run_suite(ctx, suite_reflection, output, kappa=kappa, weight=weight)
 
 
 @main.command("bubble-limit")
@@ -154,14 +146,7 @@ def reflection(ctx, kappa, weight, output):
 @click.pass_context
 def bubble_limit(ctx, csv_path, output):
     """Bubble masses: kernel-difference limits against the closed forms."""
-    cfg = _config(ctx)
-    if csv_path is not None:
-        # checked here: the scan is written inside a check, where an error is a failure
-        try:
-            open(csv_path, "a").close()
-        except OSError as exc:
-            raise click.UsageError(f"cannot write the scan: {exc}") from exc
-    _run_suite(ctx, suite_bubble, cfg, output, csv_path=csv_path)
+    _run_suite(ctx, partial(suite_bubble, csv_path=csv_path), output)
 
 
 @main.command("loewner-demo")
@@ -175,22 +160,12 @@ def bubble_limit(ctx, csv_path, output):
 def loewner_demo(ctx, kappa, dt, seeds, seed, trace_csv, output):
     """Forward map, trace, and driver statistics for the random driver."""
     # numpy loads here, before _config, so start-up rather than the run pays for it
-    from . import loewner
+    from . import loewner  # noqa: F401
 
-    cfg = _config(ctx, kappa=kappa, loewner_dt=dt, loewner_seeds=seeds, seed=seed)
-    if trace_csv is not None:
-        try:
-            kappa = kappa_in_range(cfg, "loewner")
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-        driver = loewner.sample_sle_driving(kappa, 1.0, cfg.loewner_dt, seed=cfg.seed)
-        sampled = loewner.trace(driver)
-        try:
-            rows = loewner.write_trace_csv(trace_csv, sampled)
-        except OSError as exc:
-            raise click.UsageError(f"cannot write the trace: {exc}") from exc
-        click.echo(f"trace with {rows} points written to {trace_csv}", err=True)
-    _run_suite(ctx, suite_loewner, cfg, output)
+    _run_suite(
+        ctx, partial(suite_loewner, csv_path=trace_csv), output,
+        kappa=kappa, loewner_dt=dt, loewner_seeds=seeds, seed=seed,
+    )
 
 
 @main.command("report-all")
@@ -206,10 +181,10 @@ def report_all_cmd(ctx, level, max_mode, seeds, seed, kappa, output):
     # numpy loads here, before _config, so start-up rather than the run pays for it
     from . import loewner  # noqa: F401
 
-    cfg = _config(
-        ctx, level=level, max_mode=max_mode, loewner_seeds=seeds, seed=seed, kappa=kappa
+    _run_suite(
+        ctx, report_all, output,
+        level=level, max_mode=max_mode, loewner_seeds=seeds, seed=seed, kappa=kappa,
     )
-    _run_suite(ctx, report_all, cfg, output)
 
 
 if __name__ == "__main__":

@@ -57,7 +57,6 @@ __all__ = [
     "suite_reflection",
     "suite_bubble",
     "suite_loewner",
-    "kappa_in_range",
     "report_all",
 ]
 
@@ -293,6 +292,31 @@ def _off_kac_weight(cfg: RunConfig) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# The largest value of each knob a suite accepts.  Runs at the caps took at
+# most about 9 s, and runs one step past them 9 to 17 s (subprocess wall
+# time on a 2-vCPU x86-64 VM, Python 3.11; the README lists the grid).
+# Operators' level cap keeps its window, max(max_mode + max_degree, level,
+# 8), within the measured 28.
+_CAPS = {
+    "verify-commutators": {"max_mode": 8, "max_mode + max_degree": 19},
+    "gram": {"level": 11},
+    "kac": {"level": 9},
+    "operators": {"max_mode": 16, "max_mode + max_degree": 28, "level": 28},
+}
+
+
+def _check_caps(cfg: RunConfig, suite: str) -> None:
+    """Raise ``ValueError`` if a knob passes the suite's cap in ``_CAPS``."""
+    knobs = {
+        "level": cfg.level,
+        "max_mode": cfg.max_mode,
+        "max_mode + max_degree": cfg.max_mode + cfg.max_degree,
+    }
+    for knob, cap in _CAPS[suite].items():
+        if knobs[knob] > cap:
+            raise ValueError(f"{suite} suite needs {knob} <= {cap}, got {knobs[knob]}")
+
+
 def _suite_table(window: int, shared: OperatorTable | None) -> OperatorTable:
     """A fresh table at the suite's window, or ``shared`` narrowed to it."""
     if shared is None:
@@ -312,6 +336,7 @@ def suite_commutators(cfg: RunConfig, table: OperatorTable | None = None) -> Rep
     monomials up to ``max_degree``.  A ``table`` passed in is narrowed to
     that window, as in every suite that takes one.
     """
+    _check_caps(cfg, "verify-commutators")
     report = Report("verify-commutators", cfg.params())
     k = cfg.max_mode
     table = _suite_table(_commutators_window(cfg), table)
@@ -347,6 +372,7 @@ def _gram_window(cfg: RunConfig) -> int:
 
 def suite_gram(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
     """Geometric pairings against the abstract Shapovalov form."""
+    _check_caps(cfg, "gram")
     report = Report("gram", cfg.params())
     top = cfg.level
     table = _suite_table(_gram_window(cfg), table)
@@ -385,6 +411,7 @@ def suite_gram(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
 
 def suite_kac(cfg: RunConfig) -> Report:
     """Determinant of the Gram form and its degenerate-weight roots."""
+    _check_caps(cfg, "kac")
     report = Report("kac", cfg.params())
     level = cfg.level
     charge = central_charge(cfg.kappa)
@@ -490,11 +517,13 @@ def suite_singular(cfg: RunConfig, table: OperatorTable | None = None) -> Report
 
 
 def _operators_window(cfg: RunConfig) -> int:
-    return max(cfg.max_degree + cfg.max_mode, 8)
+    # the duality check raises to partitions of size up to max(level, 2)
+    return max(cfg.max_degree + cfg.max_mode, cfg.level, 8)
 
 
 def suite_operators(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
     """Shape constraints and scalar anchors of the mode operators."""
+    _check_caps(cfg, "operators")
     report = Report("operators", cfg.params())
     k = cfg.max_mode
     table = _suite_table(_operators_window(cfg), table)
@@ -549,7 +578,7 @@ def suite_operators(cfg: RunConfig, table: OperatorTable | None = None) -> Repor
     return report
 
 
-def kappa_in_range(cfg: RunConfig, suite: str) -> float:
+def _kappa_in_range(cfg: RunConfig, suite: str) -> float:
     """The config's kappa as a float, checked exactly against the range
     (0, 4] that the reflection and Loewner suites accept; ``suite`` names
     the one asking."""
@@ -561,7 +590,7 @@ def kappa_in_range(cfg: RunConfig, suite: str) -> float:
 def suite_reflection(cfg: RunConfig) -> Report:
     """Reflection coefficient normalization, poles, and spot values."""
     report = Report("reflection", cfg.params())
-    kappa = kappa_in_range(cfg, "reflection")
+    kappa = _kappa_in_range(cfg, "reflection")
 
     def unit_at_zero() -> tuple[bool, str]:
         value = spectral.reflection_R(0.0, kappa)
@@ -587,11 +616,13 @@ def suite_reflection(cfg: RunConfig) -> Report:
     return report
 
 
-def suite_bubble(
-    cfg: RunConfig, csv_path: str | Path | None = None
-) -> Report:
-    """Annulus function, kernel-difference limits, and the off-center mass."""
+def suite_bubble(cfg: RunConfig, csv_path: str | Path | None = None) -> Report:
+    """Annulus function, kernel-difference limits, and the off-center mass;
+    the convergence scan goes to ``csv_path`` before the first check."""
     report = Report("bubble-limit", cfg.params())
+    if csv_path is not None:
+        angles = [0.7 + g for g in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)]
+        spectral.write_bubble_limit_scan(csv_path, spectral.mobius_annulus(0.3, 0.25), 0.7, angles)
 
     def centered_limit() -> tuple[bool, str]:
         q, gap = 0.3, 1e-3
@@ -627,26 +658,20 @@ def suite_bubble(
         return ok, f"U(q) = {u!r}, U(q)|log q| = {product!r}"
 
     report.run("small-q decay of the annulus function", small_q)
-
-    if csv_path is not None:
-        def scan() -> tuple[bool, str]:
-            amap = spectral.mobius_annulus(0.3, 0.25)
-            theta = 0.7
-            angles = [theta + g for g in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)]
-            rows = spectral.write_bubble_limit_scan(csv_path, amap, theta, angles)
-            return True, f"wrote {rows} rows to {csv_path}"
-
-        report.run("convergence scan export", scan)
     return report
 
 
-def suite_loewner(cfg: RunConfig) -> Report:
-    """Forward map, trace tip, and driver variance for the random driver."""
+def suite_loewner(cfg: RunConfig, csv_path: str | Path | None = None) -> Report:
+    """Forward map, trace tip, and driver variance for the random driver; one
+    trace sampled from ``seed`` goes to ``csv_path`` before the first check."""
     from . import loewner
 
     report = Report("loewner-demo", cfg.params())
-    kappa = kappa_in_range(cfg, "loewner")
+    kappa = _kappa_in_range(cfg, "loewner")
     dt = cfg.loewner_dt
+    if csv_path is not None:
+        driver = loewner.sample_sle_driving(kappa, 1.0, dt, seed=cfg.seed)
+        loewner.write_trace_csv(csv_path, loewner.trace(driver))
 
     def closed_form_map() -> tuple[bool, str]:
         w = loewner.DrivingFunction.zero(total_time=1.0, dt=dt)
@@ -691,10 +716,12 @@ def report_all(cfg: RunConfig) -> Report:
 
     The suites that use operators share one table at the widest of their
     windows, and each narrows it to its own, so every mode is built once.
-    Kappa is checked against the reflection suite's range before any suite
-    runs, so an out-of-range kappa costs no exact work.
+    Kappa and every suite's caps are checked before any suite runs, so a
+    refused config costs no exact work.
     """
-    kappa_in_range(cfg, "reflection")
+    _kappa_in_range(cfg, "reflection")
+    for suite in _CAPS:
+        _check_caps(cfg, suite)
     merged = Report("all", cfg.params())
     # each suite with its operator window, None for the suites that take no table
     suites = (

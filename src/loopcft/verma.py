@@ -6,14 +6,15 @@ applied to the highest-weight vector, so more-negative modes sit to the
 left.  :func:`lowering_word` and its adjoint :func:`raising_word` state
 that word convention, and the geometric realization in
 :mod:`loopcft.operators` reads its states and pairings from them too.
-Mode application is implemented by straightening against the commutation
-relation
+Mode application is one straightening routine: L_n moves past the word's
+leftmost operator L_{-q} by the one commutation rule
 
-    [L_a, L_b] = (a - b) L_{a+b} + (c/12) (a^3 - a) delta_{a,-b}
+    [L_n, L_{-q}] = (n + q) L_{n-q} + (c/12) (n^3 - n) delta_{n,q}
 
-with every coefficient a :class:`CoeffPoly` in the symbolic weight and
-central charge; rational specializations substitute at the very end, so
-ranks and kernels carry no numerical noise.
+for lowering and raising modes alike, with every coefficient a
+:class:`CoeffPoly` in the symbolic weight and central charge; rational
+specializations substitute at the very end, so ranks and kernels carry no
+numerical noise.
 
 The central cocycle value is itself computed from a contour residue of
 polynomial vector fields rather than hardcoded, and the straightening
@@ -180,35 +181,21 @@ def raising_word(partition: Partition | Sequence[int]) -> Parts:
 
 @lru_cache(maxsize=None)
 def _apply_mode_to_basis(n: int, parts: Parts) -> VermaVector:
+    """L_n applied to a basis vector, straightened back into the PBW basis.
+
+    L_n moves past the word's head L_{-q} by the one commutation rule
+    L_n L_{-q} = L_{-q} L_n + (n + q) L_{n-q} + (c/12)(n^3 - n) delta_{n,q}.
+    """
     if n == 0:
         return VermaVector({parts: _LAM + sum(parts)})
-    if n < 0:
-        return _lower(-n, parts)
-    return _raise(n, parts)
-
-
-def _lower(p: int, parts: Parts) -> VermaVector:
-    """L_{-p} applied to a basis vector, straightened back into the PBW basis."""
-    if not parts or p >= parts[-1]:
-        return VermaVector({tuple(sorted(parts + (p,))): CoeffPoly.one()})
-    # L_{-p} L_{-q} = L_{-q} L_{-p} + (q - p) L_{-p-q} with q the largest part
-    q = parts[-1]
-    rest = parts[:-1]
-    swapped = apply_mode(-q, _lower(p, rest))
-    merged = _lower(p + q, rest).scale(q - p)
-    return swapped + merged
-
-
-def _raise(n: int, parts: Parts) -> VermaVector:
-    """L_n (n > 0) applied to a basis vector by commuting past the word head."""
-    if not parts:
+    if n > 0 and not parts:
         return VermaVector()
-    p = parts[-1]  # leftmost operator of the PBW word is L_{-p}
-    rest = parts[:-1]
-    through = apply_mode(-p, _raise(n, rest))
-    cross = _apply_mode_to_basis(n - p, rest).scale(n + p)
-    result = through + cross
-    if n == p:
+    if n < 0 and (not parts or -n >= parts[-1]):
+        return VermaVector({parts + (-n,): CoeffPoly.one()})
+    q, rest = parts[-1], parts[:-1]  # the word's leftmost operator is L_{-q}
+    result = apply_mode(-q, _apply_mode_to_basis(n, rest))
+    result = result + _apply_mode_to_basis(n - q, rest).scale(n + q)
+    if n == q:
         central = _C * (Fraction(1, 12) * cocycle(n, -n))
         result = result + VermaVector({rest: CoeffPoly.one()}).scale(central)
     return result

@@ -9,12 +9,15 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopcft
 from loopcft.cli import main
@@ -236,7 +239,7 @@ def test_single_loewner_seed_is_usage_error(runner, command):
 
 @pytest.mark.parametrize("csv", [False, True])
 def test_loewner_kappa_out_of_range_is_usage_error(runner, tmp_path, csv):
-    # the trace CSV is sampled before the suite runs; both forms reject kappa first
+    # the suite checks kappa before it samples the trace, so no CSV is written
     target = tmp_path / "trace.csv"
     for kappa in _OUT_OF_RANGE_KAPPAS:
         argv = ["loewner-demo", "--kappa", kappa, "--seeds", "2"]
@@ -258,6 +261,72 @@ def test_report_all_rejects_kappa_before_any_suite(runner, monkeypatch):
         assert "reflection suite needs kappa in (0, 4]" in result.output
         assert "Traceback" not in result.output
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kac", "--level", "10"], "kac suite needs level <= 9, got 10"),
+        (["gram", "--level", "12"], "gram suite needs level <= 11, got 12"),
+        (["verify-commutators", "--max-mode", "9", "--max-degree", "0"],
+         "verify-commutators suite needs max_mode <= 8, got 9"),
+        (["verify-commutators", "--max-mode", "8", "--max-degree", "12"],
+         "verify-commutators suite needs max_mode + max_degree <= 19, got 20"),
+        (["operators", "--max-mode", "17", "--max-degree", "0"],
+         "operators suite needs max_mode <= 16, got 17"),
+        (["operators", "--max-mode", "16", "--max-degree", "13"],
+         "operators suite needs max_mode + max_degree <= 28, got 29"),
+        (["--config", {"level": 29}, "operators"], "operators suite needs level <= 28, got 29"),
+        (["report-all", "--level", "10"], "kac suite needs level <= 9, got 10"),
+        (["report-all", "--max-mode", "9"], "verify-commutators suite needs max_mode <= 8, got 9"),
+    ],
+    ids=[
+        "kac-level", "gram-level", "commutators-mode", "commutators-window",
+        "operators-mode", "operators-window", "operators-level", "report-all-level",
+        "report-all-mode",
+    ],
+)
+def test_above_cap_config_is_usage_error_before_any_check(
+    runner, tmp_path, monkeypatch, argv, message
+):
+    # a dict in argv is a config file (operators has no --level flag)
+    from loopcft import reports
+
+    path = tmp_path / "cfg.json"
+    for item in argv:
+        if isinstance(item, dict):
+            path.write_text(json.dumps(item))
+    ran = []
+    monkeypatch.setattr(reports.Report, "run", lambda report, name, fn: ran.append(name))
+    result = runner.invoke(main, [str(path) if isinstance(item, dict) else item for item in argv])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert ran == []
+
+
+def test_ci_and_benchmark_configs_are_inside_the_caps():
+    from loopcft.reports import _CAPS, _check_caps
+
+    for suite, cfg in [
+        ("operators", RunConfig(max_mode=11, max_degree=0)),
+        ("operators", RunConfig(max_mode=12, max_degree=4)),
+        ("kac", RunConfig(level=6)),
+    ]:
+        _check_caps(cfg, suite)
+    # report-all checks every cap: the benchmark config, and the corner where
+    # kac's level cap and both verify-commutators caps are reached together
+    for cfg in (RunConfig(level=5, max_mode=4), RunConfig(level=9, max_mode=8, max_degree=11)):
+        for suite in _CAPS:
+            _check_caps(cfg, suite)
+
+
+def test_operators_window_covers_the_duality_level():
+    # the duality check raises to level 9, past the default window of 8
+    from loopcft.reports import suite_operators
+
+    report = suite_operators(RunConfig(level=9))
+    assert report.overall == "pass", [c.witness for c in report.checks if c.status == "fail"]
 
 
 def test_exception_inside_a_check_becomes_a_failure(runner, monkeypatch):
@@ -347,6 +416,66 @@ def test_gram_inverse_check_reports():
         assert check.status == ("pass" if status == "identity" else "fail")
         shown = weight if weight is not None else Fraction(5, 7)
         assert check.witness == f"B * B^-1 at level {min(level, 2)}, lambda={shown}: {status}"
+
+
+_COMMANDS = [
+    "verify-commutators", "gram", "kac", "singular", "operators",
+    "reflection", "bubble-limit", "loewner-demo", "report-all",
+]
+
+
+def _above_caps():
+    """Configs one step past each cap in the reports' cap table, others small."""
+    from loopcft.reports import _CAPS
+
+    over = []
+    for caps in _CAPS.values():
+        for knob, cap in caps.items():
+            if knob == "max_mode + max_degree":
+                over.append({"max_mode": 0, "max_degree": cap + 1})
+            else:
+                over.append({knob: cap + 1})
+    return over
+
+
+@st.composite
+def _contract_configs(draw):
+    denominator = draw(st.integers(1, 6))
+    config = {
+        "level": draw(st.integers(0, 4)),
+        "max_mode": draw(st.integers(0, 3)),
+        "max_degree": draw(st.integers(0, 4)),
+        "kappa": f"{draw(st.integers(1, 5 * denominator))}/{denominator}",
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "loewner_seeds": draw(st.integers(2, 20)),
+        "loewner_dt": draw(st.sampled_from([0.5, 0.1, 0.01])),
+    }
+    if draw(st.booleans()):
+        config["lambda"] = str(draw(st.fractions(-1, 2, max_denominator=16)))
+    if draw(st.integers(0, 3)) == 0:
+        config.update(draw(st.sampled_from(_above_caps())))
+    return config
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@settings(max_examples=20, deadline=None)
+@given(config=_contract_configs())
+def test_cli_contract_holds_over_the_accepted_domain(command, config):
+    # exit 0 or 1 with a schema-1 report whose verdict matches, or exit 2 with
+    # a usage error; never a traceback or an uncaught exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["--config", str(path), command])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), config
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert "Error: " in result.output
+    else:
+        report = _report(result)
+        assert report["schema_version"] == "1"
+        assert report["overall"] == ("pass" if result.exit_code == 0 else "fail")
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +577,72 @@ def test_unwritable_output_path_is_usage_error(runner, tmp_path, argv):
     assert str(target) in result.output
     assert "Traceback" not in result.output
     assert not target.parent.exists()
+
+
+_EXPORTS = {
+    "trace-csv": ["loewner-demo", "--seeds", "2", "--trace-csv"],
+    "csv": ["bubble-limit", "--csv"],
+}
+
+
+@pytest.mark.parametrize("export", sorted(_EXPORTS))
+def test_suites_write_their_export_before_the_first_check(runner, tmp_path, monkeypatch, export):
+    from loopcft import reports
+
+    target = tmp_path / "export.csv"
+    seen = []
+    run = reports.Report.run
+
+    def run_after_export(report, name, fn):
+        seen.append(target.exists())
+        return run(report, name, fn)
+
+    monkeypatch.setattr(reports.Report, "run", run_after_export)
+    result = runner.invoke(main, _EXPORTS[export] + [str(target)])
+    assert result.exit_code == 0, result.output
+    assert seen and all(seen)
+    # the export is not a check of its own
+    names = [c["name"] for c in _report(result)["checks"]]
+    assert len(names) == len(seen) and not any("export" in name for name in names)
+
+
+@pytest.mark.parametrize("export", sorted(_EXPORTS))
+def test_unwritable_export_leaves_no_report(runner, tmp_path, export):
+    report = tmp_path / "report.json"
+    target = tmp_path / "missing" / "export.csv"
+    result = runner.invoke(main, _EXPORTS[export] + [str(target), "--output", str(report)])
+    assert result.exit_code == 2
+    assert str(target) in result.output
+    assert not report.exists()
+
+
+def test_usage_errors_come_from_one_boundary():
+    # _run_suite is the only code in the CLI that turns an error into exit 2
+    tree = ast.parse(Path(loopcft.__file__).with_name("cli.py").read_text())
+    raisers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "UsageError"
+    ]
+    assert raisers == ["_run_suite"]
+
+
+def test_closed_stdout_is_not_a_usage_error():
+    # click exits 1 when stdout is a closed pipe; the boundary must not make it 2
+    package_root = str(Path(loopcft.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": package_root + (os.pathsep + path if path else "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loopcft.cli", "kac", "--level", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert "Error" not in stderr and "Traceback" not in stderr
 
 
 def test_config_file_feeds_flags_and_flags_win(runner, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the abstract highest-weight module and its Gram/Kac data."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,52 @@ def test_raising_is_adjoint_to_lowering():
             for pv in basis:
                 u, v = basis_vector(pu), basis_vector(pv)
                 assert _pair(apply_mode(-n, u), v) == _pair(u, apply_mode(n, v))
+
+
+@lru_cache(maxsize=None)
+def _reference_basis_action(n, parts):
+    """The two straightening recursions the one commutation rule replaced."""
+    if n == 0:
+        return VermaVector({parts: LAM + sum(parts)})
+    if n < 0:
+        return _reference_lower(-n, parts)
+    return _reference_raise(n, parts)
+
+
+def _reference_apply(n, vector):
+    result = VermaVector()
+    for parts, coeff in vector.terms():
+        result = result + _reference_basis_action(n, parts).scale(coeff)
+    return result
+
+
+def _reference_lower(p, parts):
+    if not parts or p >= parts[-1]:
+        return VermaVector({tuple(sorted(parts + (p,))): CoeffPoly.one()})
+    # L_{-p} L_{-q} = L_{-q} L_{-p} + (q - p) L_{-p-q} with q the largest part
+    q, rest = parts[-1], parts[:-1]
+    swapped = _reference_apply(-q, _reference_lower(p, rest))
+    return swapped + _reference_lower(p + q, rest).scale(q - p)
+
+
+def _reference_raise(n, parts):
+    if not parts:
+        return VermaVector()
+    p, rest = parts[-1], parts[:-1]
+    through = _reference_apply(-p, _reference_raise(n, rest))
+    result = through + _reference_basis_action(n - p, rest).scale(n + p)
+    if n == p:
+        result = result + VermaVector({rest: C * Fraction(n**3 - n, 12)})
+    return result
+
+
+def test_one_commutation_rule_matches_the_lowering_and_raising_recursions():
+    for size in range(9):
+        for partition in partitions_of(size):
+            vector = VermaVector({partition.parts: CoeffPoly.one()})
+            for n in range(-8, 9):
+                want = _reference_apply(n, vector)
+                assert apply_mode(n, vector) == want, (n, partition.parts)
 
 
 def test_gram_goldens():
