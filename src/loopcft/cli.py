@@ -35,10 +35,12 @@ def _config(ctx: click.Context, **overrides) -> RunConfig:
     return RunConfig.from_sources(ctx.obj.get("config_path"), overrides)
 
 
-def _emit(ctx: click.Context, report: Report, output: str | None) -> None:
-    destination = output if output is not None else report.params.get("output", "-")
+def _emit(ctx: click.Context, report: Report) -> None:
+    """Write the report where its config's ``output`` names ("-" is stdout)
+    and exit 0 if every check passed, else 1."""
+    destination = report.params["output"]
     text = report.to_json()
-    if destination in (None, "-"):
+    if destination == "-":
         click.echo(text)
     else:
         Path(destination).write_text(text + "\n")
@@ -46,12 +48,13 @@ def _emit(ctx: click.Context, report: Report, output: str | None) -> None:
     ctx.exit(0 if report.overall == "pass" else 1)
 
 
-def _run_suite(ctx: click.Context, suite, output: str | None, **overrides) -> None:
-    """Parse the config, run ``suite`` and emit its report: the one error
-    boundary.  A ``ValueError`` (bad config, refused knob) or an ``OSError``
-    (unwritable report or export path) exits 2; click exits 1 on a closed stdout."""
+def _run_suite(ctx: click.Context, suite, **overrides) -> None:
+    """Build the config from the file and ``overrides`` (every flag, ``output``
+    too), run ``suite`` and emit its report: the one error boundary.  A
+    ``ValueError`` (bad config, refused knob) or an ``OSError`` (unwritable
+    report or export path) exits 2; click exits 1 on a closed stdout."""
     try:
-        _emit(ctx, suite(_config(ctx, **overrides)), output)
+        _emit(ctx, suite(_config(ctx, **overrides)))
     except BrokenPipeError:
         raise
     except (ValueError, OSError) as exc:
@@ -86,7 +89,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 @click.pass_context
 def verify_commutators(ctx, max_mode, max_degree, output):
     """Check every bracket relation on a shared operator window."""
-    _run_suite(ctx, suite_commutators, output, max_mode=max_mode, max_degree=max_degree)
+    _run_suite(ctx, suite_commutators, max_mode=max_mode, max_degree=max_degree, output=output)
 
 
 @main.command("gram")
@@ -97,7 +100,7 @@ def verify_commutators(ctx, max_mode, max_degree, output):
 @click.pass_context
 def gram(ctx, level, kappa, weight, output):
     """Geometric pairings against the abstract Gram form, plus an inverse."""
-    _run_suite(ctx, suite_gram, output, level=level, kappa=kappa, weight=weight)
+    _run_suite(ctx, suite_gram, level=level, kappa=kappa, weight=weight, output=output)
 
 
 @main.command("kac")
@@ -107,7 +110,7 @@ def gram(ctx, level, kappa, weight, output):
 @click.pass_context
 def kac(ctx, level, kappa, output):
     """Determinant of the Gram form and its degenerate-weight roots."""
-    _run_suite(ctx, suite_kac, output, level=level, kappa=kappa)
+    _run_suite(ctx, suite_kac, level=level, kappa=kappa, output=output)
 
 
 @main.command("singular")
@@ -117,7 +120,7 @@ def kac(ctx, level, kappa, output):
 @click.pass_context
 def singular(ctx, level, kappa, output):
     """Null states along the degenerate families and their rank drops."""
-    _run_suite(ctx, suite_singular, output, level=level, kappa=kappa)
+    _run_suite(ctx, suite_singular, level=level, kappa=kappa, output=output)
 
 
 @main.command("operators")
@@ -127,7 +130,7 @@ def singular(ctx, level, kappa, output):
 @click.pass_context
 def operators(ctx, max_mode, max_degree, output):
     """Degree structure, scalar anchors, and duality of the mode operators."""
-    _run_suite(ctx, suite_operators, output, max_mode=max_mode, max_degree=max_degree)
+    _run_suite(ctx, suite_operators, max_mode=max_mode, max_degree=max_degree, output=output)
 
 
 @main.command("reflection")
@@ -137,7 +140,7 @@ def operators(ctx, max_mode, max_degree, output):
 @click.pass_context
 def reflection(ctx, kappa, weight, output):
     """Reflection coefficient: normalization, first pole, spot values."""
-    _run_suite(ctx, suite_reflection, output, kappa=kappa, weight=weight)
+    _run_suite(ctx, suite_reflection, kappa=kappa, weight=weight, output=output)
 
 
 @main.command("bubble-limit")
@@ -146,7 +149,7 @@ def reflection(ctx, kappa, weight, output):
 @click.pass_context
 def bubble_limit(ctx, csv_path, output):
     """Bubble masses: kernel-difference limits against the closed forms."""
-    _run_suite(ctx, partial(suite_bubble, csv_path=csv_path), output)
+    _run_suite(ctx, partial(suite_bubble, csv_path=csv_path), output=output)
 
 
 @main.command("loewner-demo")
@@ -163,8 +166,8 @@ def loewner_demo(ctx, kappa, dt, seeds, seed, trace_csv, output):
     from . import loewner  # noqa: F401
 
     _run_suite(
-        ctx, partial(suite_loewner, csv_path=trace_csv), output,
-        kappa=kappa, loewner_dt=dt, loewner_seeds=seeds, seed=seed,
+        ctx, partial(suite_loewner, csv_path=trace_csv),
+        kappa=kappa, loewner_dt=dt, loewner_seeds=seeds, seed=seed, output=output,
     )
 
 
@@ -182,8 +185,8 @@ def report_all_cmd(ctx, level, max_mode, seeds, seed, kappa, output):
     from . import loewner  # noqa: F401
 
     _run_suite(
-        ctx, report_all, output,
-        level=level, max_mode=max_mode, loewner_seeds=seeds, seed=seed, kappa=kappa,
+        ctx, report_all,
+        level=level, max_mode=max_mode, loewner_seeds=seeds, seed=seed, kappa=kappa, output=output,
     )
 
 

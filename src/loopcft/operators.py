@@ -332,7 +332,7 @@ def _coefficient_map(order: int) -> LaurentSeries:
     return LaurentSeries(1, coeffs, order)
 
 
-def build_mode_operator(n: int, *, max_index: int = 8) -> ModeOperator:
+def build_mode_operator(n: int, *, max_index: int) -> ModeOperator:
     """The L-family operator of mode n from the welded deformation fields.
 
     The deformation of the coefficient body induced by the vector field
@@ -519,7 +519,7 @@ class OperatorTable:
     operator from the wider table it was cut from and restricts it.
     """
 
-    def __init__(self, max_index: int = 8):
+    def __init__(self, max_index: int):
         if max_index < 1:
             raise ValueError("max_index must be at least 1")
         self.max_index = max_index

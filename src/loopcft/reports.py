@@ -95,18 +95,24 @@ def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# The bounds of the float checks: pinned here, not knobs.  params() echoes
+# them, and cache_dir (always null), because perfbench/digests.json pins
+# every report's params.
+_TOLERANCES = {"tol_reflection": 1e-12, "tol_pole": 1e-9, "tol_bubble": 1e-4, "tol_loewner": 1e-6}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat bag of knobs shared by every suite.
+    """Flat bag of the knobs that callers vary, shared by every suite.
 
     Rational parameters arrive as exact ``p/q`` strings; ``weight`` is the
     conformal weight (the ``lambda`` key in config files, since ``lambda``
     is not a valid attribute name).  Counts are ints (not bools) and must
-    be non-negative; tolerances and ``loewner_dt`` are finite and positive.
-    ``loewner_dt`` must also tile the Loewner suite's unit horizon: 1/dt is
-    an integer to within 1e-9, so every driver grid ends at exactly t = 1.
-    That integer is at most ``_MAX_LOEWNER_STEPS``, since the sampled trace
-    costs (1/dt)^2.
+    be non-negative.  ``loewner_dt`` is a finite positive number that tiles
+    the Loewner suite's unit horizon: 1/dt is an integer to within 1e-9, so
+    every driver grid ends at exactly t = 1.  That integer is at most
+    ``_MAX_LOEWNER_STEPS``, since the sampled trace costs (1/dt)^2.
+    ``output`` is where the CLI writes the report, ``"-"`` for stdout.
     A value of the wrong type is a ``ValueError``, as is one out of range.
     """
 
@@ -116,30 +122,19 @@ class RunConfig:
     kappa: Fraction = Fraction(3)
     weight: Fraction | None = None
     seed: int = 0
-    tol_reflection: float = 1e-12
-    tol_pole: float = 1e-9
-    tol_bubble: float = 1e-4
-    tol_loewner: float = 1e-6
     loewner_dt: float = 1e-3
     loewner_seeds: int = 2000
-    # always None; kept because perfbench/digests.json pins "cache_dir": null in params
-    cache_dir: None = None
     output: str = "-"
 
     # JSON config files use ``lambda`` for the weight knob.
     _KEY_ALIASES = {"lambda": "weight"}
-    _RATIONAL_KEYS = {"kappa", "weight"}
     _INT_KEYS = ("max_mode", "max_degree", "level", "seed", "loewner_seeds")
-    _REAL_KEYS = ("tol_reflection", "tol_pole", "tol_bubble", "tol_loewner", "loewner_dt")
+    # the types accepted by each knob that is neither a count nor loewner_dt;
+    # from_sources parses a knob that accepts a Fraction from its p/q string
+    _OTHER_TYPES = {"kappa": (Fraction,), "weight": (Fraction, type(None)), "output": (str,)}
     # loewner-demo --trace-csv on a 2-vCPU x86-64 VM: 6.4 s at 1/dt = 2e4 (7.9 s
     # on one CPU), 9.8 s at 3e4, 15.5 s at 4e4
     _MAX_LOEWNER_STEPS = 20_000
-    _OTHER_TYPES = (
-        ("kappa", Fraction),
-        ("weight", (Fraction, type(None))),
-        ("output", str),
-        ("cache_dir", type(None)),
-    )
 
     def __post_init__(self):
         for name in self._INT_KEYS:
@@ -148,13 +143,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in self._REAL_KEYS:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be finite and positive")
-        for name, kinds in self._OTHER_TYPES:
+        for name, kinds in self._OTHER_TYPES.items():
             value = getattr(self, name)
             if not isinstance(value, kinds):
                 raise ValueError(f"{name} has the wrong type: {value!r}")
@@ -162,7 +151,12 @@ class RunConfig:
             raise ValueError("kappa must be positive")
         if self.loewner_seeds < 2:
             raise ValueError("loewner_seeds must be at least 2")
-        steps = 1 / self.loewner_dt
+        dt = self.loewner_dt
+        if not isinstance(dt, (int, float)) or isinstance(dt, bool):
+            raise ValueError(f"loewner_dt must be a number, got {dt!r}")
+        if not math.isfinite(dt) or dt <= 0:
+            raise ValueError("loewner_dt must be finite and positive")
+        steps = 1 / dt
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
             raise ValueError(
                 f"loewner_dt must divide the horizon 1 into whole steps, but 1/dt = {steps!r}"
@@ -180,38 +174,39 @@ class RunConfig:
         """Defaults, then config-file values, then explicit overrides.
 
         The file is a flat JSON object; unknown keys are an error so typos
-        fail loudly instead of silently running with defaults.
+        fail loudly instead of silently running with defaults, and so is a
+        file that names one knob twice (a repeated key, or ``lambda`` and
+        ``weight``) instead of silently running at the last value.
         """
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
         merged: dict = {}
         if config_path is not None:
             try:
-                raw = json.loads(Path(config_path).read_text())
+                # an object as its (key, value) pairs, so a repeated key is seen
+                raw = json.loads(Path(config_path).read_text(), object_pairs_hook=tuple)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ValueError(f"cannot read config {config_path}: {exc}") from exc
-            if not isinstance(raw, dict):
+            if not isinstance(raw, tuple):
                 raise ValueError("config file must hold a flat JSON object")
-            merged.update(raw)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                merged[key] = value
-        kwargs: dict = {}
-        for key, value in merged.items():
-            name = cls._KEY_ALIASES.get(key, key)
+            for key, value in raw:
+                name = cls._KEY_ALIASES.get(key, key)
+                if name in merged:
+                    raise ValueError(f"config file names knob {name!r} twice")
+                merged[name] = value
+        merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+        known = {f.name for f in fields(cls)}
+        for name, value in merged.items():
             if name not in known:
-                raise ValueError(f"unknown config key: {key!r}")
-            if name in cls._RATIONAL_KEYS and value is not None:
-                value = parse_rational(value)
-            kwargs[name] = value
-        return cls(**kwargs)
+                raise ValueError(f"unknown config key: {name!r}")
+            if value is not None and Fraction in cls._OTHER_TYPES.get(name, ()):
+                merged[name] = parse_rational(value)
+        return cls(**merged)
 
     def params(self) -> dict:
-        """JSON-safe echo of every knob, rationals as p/q strings."""
+        """JSON-safe echo of every knob, rationals as p/q strings, plus the
+        pinned tolerances and a null ``cache_dir``."""
         aliases = {name: key for key, name in self._KEY_ALIASES.items()}
-        out = {}
+        out = {**_TOLERANCES, "cache_dir": None}
         for f in fields(self):
-            if f.name.startswith("_"):
-                continue
             value = getattr(self, f.name)
             if isinstance(value, Fraction):
                 value = _frac_str(value)
@@ -246,8 +241,8 @@ class Report:
     def to_dict(self) -> dict:
         return asdict(self) | {"overall": self.overall}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def run(self, name: str, fn: Callable[[], tuple[bool, str]]) -> bool:
         """Execute one check, timing it; any exception it raises becomes a failure."""
@@ -594,7 +589,7 @@ def suite_reflection(cfg: RunConfig) -> Report:
 
     def unit_at_zero() -> tuple[bool, str]:
         value = spectral.reflection_R(0.0, kappa)
-        ok = abs(value - 1.0) <= cfg.tol_reflection
+        ok = abs(value - 1.0) <= _TOLERANCES["tol_reflection"]
         return ok, f"R(0) = {value!r}"
 
     report.run("normalization R(0) = 1", unit_at_zero)
@@ -602,7 +597,7 @@ def suite_reflection(cfg: RunConfig) -> Report:
     def first_pole() -> tuple[bool, str]:
         found = spectral.reflection_smallest_pole(kappa)
         expect = 0.5 * (1 - kappa / 8)
-        ok = abs(found - expect) <= cfg.tol_pole
+        ok = abs(found - expect) <= _TOLERANCES["tol_pole"]
         return ok, f"pole located at {found!r}, closed form {expect!r}"
 
     report.run("smallest real pole", first_pole)
@@ -632,7 +627,7 @@ def suite_bubble(cfg: RunConfig, csv_path: str | Path | None = None) -> Report:
         )
         want = spectral.U_of_q(q)
         rel = abs(diff - want) / want
-        ok = rel <= cfg.tol_bubble
+        ok = rel <= _TOLERANCES["tol_bubble"]
         return ok, f"kernel difference {diff!r} vs U(q) {want!r}, rel {rel:.3e}"
 
     report.run("centered annulus kernel limit", centered_limit)
@@ -645,7 +640,7 @@ def suite_bubble(cfg: RunConfig, csv_path: str | Path | None = None) -> Report:
             amap, theta - gap / 2, theta + gap / 2
         )
         rel = abs(straddle - closed) / abs(closed)
-        ok = rel <= cfg.tol_bubble
+        ok = rel <= _TOLERANCES["tol_bubble"]
         return ok, f"straddle {straddle!r} vs closed form {closed!r}, rel {rel:.3e}"
 
     report.run("off-center bubble mass", off_center)
@@ -679,7 +674,7 @@ def suite_loewner(cfg: RunConfig, csv_path: str | Path | None = None) -> Report:
         want = (3j**2 + 4) ** 0.5
         want = want if want.imag >= 0 else -want
         err = abs(got - want)
-        ok = err <= cfg.tol_loewner
+        ok = err <= _TOLERANCES["tol_loewner"]
         return ok, f"|g_1(3i) - sqrt(9i^2+4)| = {err:.3e}"
 
     report.run("zero driver forward map", closed_form_map)

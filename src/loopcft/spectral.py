@@ -204,8 +204,6 @@ class AnnulusMap:
 
     alpha: float
     q: float
-    x0: float
-    r: float
 
 
 def mobius_annulus(x0: float, r: float) -> AnnulusMap:
@@ -215,7 +213,7 @@ def mobius_annulus(x0: float, r: float) -> AnnulusMap:
     if abs(x0) + r >= 1:
         raise ValueError("removed disc must be compactly contained in the unit disc")
     if x0 == 0:
-        return AnnulusMap(alpha=0.0, q=r, x0=x0, r=r)
+        return AnnulusMap(alpha=0.0, q=r)
     b = 1 + x0 * x0 - r * r
     disc = b * b - 4 * x0 * x0
     if disc <= 0:
@@ -229,7 +227,7 @@ def mobius_annulus(x0: float, r: float) -> AnnulusMap:
     q = abs(annulus_point(alpha, x0 + r))
     if not 0 < q < 1:
         raise ValueError("normalized modulus fell outside (0, 1)")
-    return AnnulusMap(alpha=alpha, q=q, x0=x0, r=r)
+    return AnnulusMap(alpha=alpha, q=q)
 
 
 def annulus_point(alpha: float, z: complex) -> complex:

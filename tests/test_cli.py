@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,9 +149,9 @@ def test_missing_config_file_is_usage_error(runner):
         ({"level": "3"}, "level must be an integer"),
         ({"level": 2.5}, "level must be an integer"),
         ({"level": True}, "level must be an integer"),
-        ({"tol_bubble": "x"}, "tol_bubble must be a number"),
+        ({"tol_bubble": "x"}, "unknown config key"),
         ({"seed": -1}, "seed must be non-negative"),
-        ({"cache_dir": "/tmp/x"}, "cache_dir has the wrong type"),
+        ({"cache_dir": "/tmp/x"}, "unknown config key"),
     ],
 )
 @pytest.mark.parametrize("command", ["kac", "report-all"])
@@ -167,20 +168,97 @@ def test_config_fields_are_type_checked():
     for bad in (
         {"max_mode": 1.0},
         {"loewner_seeds": False},
-        {"tol_pole": float("nan")},
         {"loewner_dt": float("inf")},
         {"kappa": 3},
         {"weight": "1/2"},
         {"output": None},
+    ):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+    # the pinned tolerances and cache_dir are no longer fields
+    for bad in (
+        {"tol_pole": float("nan")},
         {"cache_dir": 7},
         {"cache_dir": "/tmp/x"},
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RunConfig(**bad)
     for bad in (True, [1], None):
         with pytest.raises(ValueError):
             parse_rational(bad)
-    assert RunConfig(tol_bubble=1, seed=0).tol_bubble == 1
+    assert RunConfig(loewner_dt=1).loewner_dt == 1
+
+
+def test_each_knob_has_one_type_rule():
+    # every field is checked by exactly one rule: a count, the real loewner_dt,
+    # or its entry in _OTHER_TYPES
+    rules = [*RunConfig._INT_KEYS, "loewner_dt", *RunConfig._OTHER_TYPES]
+    assert sorted(rules) == sorted(f.name for f in fields(RunConfig))
+    assert len(fields(RunConfig)) == 9
+
+
+_RETIRED_KEYS = {
+    "tol_reflection": 1e-300,
+    "tol_pole": 1e-300,
+    "tol_bubble": 1e300,
+    "tol_loewner": 1e300,
+    "cache_dir": None,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_RETIRED_KEYS))
+def test_retired_knob_in_a_config_file_is_usage_error(runner, tmp_path, monkeypatch, key):
+    # the float checks' tolerances are pinned; no config can move them
+    from loopcft import reports
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: _RETIRED_KEYS[key]}))
+    ran = []
+    monkeypatch.setattr(reports.Report, "run", lambda report, name, fn: ran.append(name))
+    result = runner.invoke(main, ["--config", str(path), "reflection"])
+    assert result.exit_code == 2
+    assert f"unknown config key: {key!r}" in result.output
+    assert "Traceback" not in result.output
+    assert ran == []
+
+
+def test_params_echo_every_knob_and_the_pinned_tolerances():
+    # perfbench/digests.json pins these bytes in every report
+    assert RunConfig().params() == {
+        "max_mode": 3,
+        "max_degree": 4,
+        "level": 3,
+        "kappa": "3/1",
+        "lambda": None,
+        "seed": 0,
+        "tol_reflection": 1e-12,
+        "tol_pole": 1e-9,
+        "tol_bubble": 1e-4,
+        "tol_loewner": 1e-6,
+        "loewner_dt": 1e-3,
+        "loewner_seeds": 2000,
+        "cache_dir": None,
+        "output": "-",
+    }
+
+
+@pytest.mark.parametrize(
+    "text, knob",
+    [
+        ('{"lambda": "1/3", "weight": "1/2"}', "weight"),
+        ('{"weight": "1/3", "lambda": "1/2"}', "weight"),
+        ('{"level": 2, "level": 9}', "level"),
+    ],
+    ids=["lambda-weight", "weight-lambda", "level-level"],
+)
+def test_config_file_naming_one_knob_twice_is_usage_error(runner, tmp_path, text, knob):
+    # such a file used to run at whichever value came last
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["--config", str(path), "reflection"])
+    assert result.exit_code == 2
+    assert f"names knob {knob!r} twice" in result.output
+    assert "Traceback" not in result.output
 
 
 def _loewner_dt_argv(dt: str, source: str, tmp_path) -> list[str]:
@@ -559,6 +637,29 @@ def test_output_flag_writes_file(runner, tmp_path):
     assert result.exit_code == 0
     report = json.loads(target.read_text())
     assert report["suite"] == "kac"
+
+
+def test_lambda_flag_beats_the_lambda_key_of_the_file(runner, tmp_path):
+    # a flag overrides the file; it is not a second spelling of the knob
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lambda": "1/3"}))
+    result = runner.invoke(main, ["--config", str(path), "reflection", "--lambda", "1/2"])
+    assert result.exit_code == 0, result.output
+    assert _report(result)["params"]["lambda"] == "1/2"
+
+
+def test_report_echoes_the_output_it_went_to(runner, tmp_path):
+    target = tmp_path / "r.json"
+    result = runner.invoke(main, ["reflection", "--output", str(target)])
+    assert result.exit_code == 0
+    assert json.loads(target.read_text())["params"]["output"] == str(target)
+    # the flag beats the file, and the report names where it went
+    cfg, first, second = (tmp_path / name for name in ("cfg.json", "a.json", "b.json"))
+    cfg.write_text(json.dumps({"output": str(first)}))
+    result = runner.invoke(main, ["--config", str(cfg), "reflection", "--output", str(second)])
+    assert result.exit_code == 0
+    assert not first.exists()
+    assert json.loads(second.read_text())["params"]["output"] == str(second)
 
 
 @pytest.mark.parametrize(
