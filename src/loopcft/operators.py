@@ -370,11 +370,9 @@ def build_mode_operator(n: int, *, max_index: int) -> ModeOperator:
     """
     top = max_index + 2
     F = _coefficient_map(top + max(0, -n))
-    if n >= 0:
-        # F^(n+1) starts at z^(n+1); keep F's lead even when nothing else is read
-        power = F.truncate(max(2, top - n)) ** (n + 1)
-    else:
-        power = F ** (n + 1)
+    # cut to z^(top-n) (F's own order for n < 0), F^(n+1) is reliable below z^top;
+    # keep F's lead even when nothing else is read
+    power = F.truncate(max(2, top - n)) ** (n + 1)
     q_low, theta = {}, _ZERO
     if n <= 0:
         head = F.truncate(2 - n)

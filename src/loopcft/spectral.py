@@ -268,14 +268,16 @@ def bubble_mass(amap: AnnulusMap, theta: float) -> float:
     """Mass of Brownian bubbles rooted at e^{i theta} that hit the hole.
 
     Assembles the boundary expression e^{2 i theta} (S psi / 6 + (psi'/psi)^2
-    U(q)); the result must be real up to roundoff, which is asserted.
+    U(q)); the result must be real up to roundoff, and an ArithmeticError
+    says so when it is not.
     """
     z = cmath.exp(1j * theta)
     psi = annulus_point(amap.alpha, z)
     dpsi = annulus_derivative(amap.alpha, z)
     sch = annulus_schwarzian(amap.alpha, z)
     expr = z * z * (sch / 6.0 + (dpsi / psi) ** 2 * U_of_q(amap.q))
-    assert abs(expr.imag) < 1e-10, f"bubble mass not real: {expr}"
+    if not abs(expr.imag) < 1e-10:
+        raise ArithmeticError(f"bubble mass not real: {expr}")
     return expr.real
 
 

@@ -406,6 +406,9 @@ class CoeffPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._nums.keys() <= {0}:
+            # == says a constant equals its Fraction, so it hashes as one
+            return hash(self.constant_part())
         return hash((self._den, frozenset(self._nums.items())))
 
     def __add__(self, other: "CoeffPoly | int | Fraction") -> "CoeffPoly":

@@ -15,9 +15,10 @@ The propagation rules, for inputs with valuations ``v`` and orders ``o``:
 
 * add/sub: ``min(o1, o2)``
 * mul: ``min(o1 + v2, o2 + v1)``
-* power ``k``: ``o + (k-1)v``; for negative ``k`` the lowest coefficient
-  must be a nonzero rational constant, the only units of the coefficient
-  ring, and the multiplicative inverse is ``k = -1`` with order ``o - 2v``
+* power ``k``: ``o + (k-1)v``; the lowest coefficient must be a nonzero
+  rational constant, the only units of the coefficient ring, except that
+  the zero series powers to zero with order ``k o`` for ``k > 0``; the
+  multiplicative inverse is ``k = -1`` with order ``o - 2v``
 * derivative: ``o - 1``
 * reversion: same order as the input
 
@@ -25,11 +26,11 @@ A product coefficient, and each step of the power recurrence, is one
 Cauchy sum taken by ``CoeffPoly.sum_of_products``: one accumulator and one
 reduction per output coefficient, not a product and a sum per term pair.
 
-Positive powers are taken by binary powering.  Every negative power k of
-``lead * z^v * (1 + u)``, the inverse k = -1 among them, comes from
-J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): g = (1 + u)^k has
-g_0 = 1 and g_j = (1/j) sum_{i=1..j} ((k+1) i - j) u_i g_{j-i}, one fused
-sum per coefficient, with no series product.
+Every nonzero power k of ``lead * z^v * (1 + u)``, the inverse k = -1
+among them, comes from J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2,
+4.7): g = (1 + u)^k has g_0 = 1 and
+g_j = (1/j) sum_{i=1..j} ((k+1) i - j) u_i g_{j-i}, one fused sum per
+coefficient, with no series product.
 
 Reversion is Lagrange inversion (ibid.) through the same recurrence: the
 compositional inverse of f = z + ... is g = sum_k b_k z^k with
@@ -249,46 +250,39 @@ class LaurentSeries:
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse; the lowest coefficient must be a rational unit."""
-        return self._negative_power(-1)
+        return self._power(-1)
 
     def __pow__(self, n: int) -> "LaurentSeries":
         if n == 0:
             return LaurentSeries.monomial(0, 1, None)
-        if n < 0:
-            return self._negative_power(n)
-        # binary powering: by the mul rule x^k has order o + (k-1)v however
-        # its factors are grouped, so this matches the sequential product
-        base = self
-        result = None
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return self._power(n)
 
-    def _negative_power(self, alpha: int) -> "LaurentSeries":
-        """self**alpha for alpha < 0 by J.C.P. Miller's power recurrence.
+    def _power(self, alpha: int) -> "LaurentSeries":
+        """self**alpha for alpha != 0 by J.C.P. Miller's power recurrence.
 
         With self = lead * z^v * (1 + sum u_j z^j), the series g = (1 + u)**alpha
         satisfies g_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) u_j g_{k-j}, one
         fused sum per coefficient.  Valuation v * alpha and order
-        o + (alpha - 1) v follow the power rule.
+        o + (alpha - 1) v follow the power rule; a positive power of an exact
+        series is the polynomial of relative length alpha (len - 1) + 1.
         """
+        if alpha > 0 and self.is_zero:
+            return LaurentSeries.zero(alpha * self.order)
         lead_const = self._unit_lead()
         v = self.valuation
         scale = lead_const**alpha
+        order = self.order + (alpha - 1) * v
         if len(self.coeffs) == 1:
             # a pure monomial powers exactly
-            order = self.order if self.order == _INF else self.order + (alpha - 1) * v
-            return LaurentSeries.monomial(alpha * v, scale, None if order == _INF else order)
-        if self.order == _INF:
+            return LaurentSeries.monomial(alpha * v, scale, order)
+        if self.order != _INF:
+            rel_len = int(self.order - v)  # reliable relative powers 0 .. rel_len-1
+        elif alpha > 0:
+            rel_len = alpha * (len(self.coeffs) - 1) + 1
+        else:
             raise InsufficientOrderError(
                 "inverse of an exact multi-term series is an infinite object; truncate() first"
             )
-        order = self.order + (alpha - 1) * v
-        rel_len = int(self.order - v)  # reliable relative powers 0 .. rel_len-1
         u = [c * (1 / lead_const) for c in self.coeffs[1:rel_len]]
         g: list[CoeffPoly] = [CoeffPoly.one()]
         for k in range(1, rel_len):

@@ -20,13 +20,16 @@ The central cocycle value is itself computed from a contour residue of
 polynomial vector fields rather than hardcoded, and the straightening
 routine consumes that computation.
 
-A Gram entry <k|k'> moves the first raising mode L_{max k} onto the basis
-vector of k' and pairs the result with the entries of k minus its largest
-part, one level down; both the basis actions and the entries are
-memoized, and :func:`gram_matrix` straightens only its upper triangle
+A basis action is an immutable tuple of its nonzero ``(parts,
+coefficient)`` terms, so the memo hands every caller a value it cannot
+change.  A Gram entry <k|k'> moves the first raising mode L_{max k} onto
+the basis vector of k' and pairs the result with the entries of k minus
+its largest part, one level down; both the basis actions and the entries
+are memoized, and :func:`gram_matrix` straightens only its upper triangle
 because the form is symmetric.  The tests hold the entries against an
 oracle that straightens the whole word (``normal_order`` in
-``tests/oracles.py``).
+``tests/oracles.py``, over the vector arithmetic ``VermaVector`` and
+``apply_mode`` there).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 from .symbolic import (
     CC,
@@ -50,8 +53,6 @@ from .symbolic import (
 )
 
 __all__ = [
-    "VermaVector",
-    "apply_mode",
     "lowering_word",
     "raising_word",
     "gram_entry",
@@ -71,6 +72,7 @@ _LAM = CoeffPoly.generator(LAMBDA)
 _C = CoeffPoly.generator(CC)
 
 Parts = tuple[int, ...]
+Terms = tuple[tuple[Parts, CoeffPoly], ...]  # nonzero (parts, coefficient) pairs
 
 
 def central_charge(kappa: Fraction | int) -> Fraction:
@@ -110,65 +112,6 @@ def cocycle(n: int, m: int) -> Fraction:
     return product.residue().as_constant()
 
 
-class VermaVector:
-    """A finite combination of PBW basis vectors with CoeffPoly coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Parts, CoeffPoly] | None = None):
-        clean: dict[Parts, CoeffPoly] = {}
-        if terms:
-            for parts, coeff in terms.items():
-                if not coeff.is_zero:
-                    clean[tuple(parts)] = coeff
-        self._terms = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> Iterator[tuple[Parts, CoeffPoly]]:
-        return iter(sorted(self._terms.items()))
-
-    def coefficient(self, parts: Sequence[int]) -> CoeffPoly:
-        return self._terms.get(tuple(parts), _ZERO)
-
-    def scale(self, factor: CoeffPoly | Fraction | int) -> "VermaVector":
-        if isinstance(factor, (int, Fraction)):
-            factor = CoeffPoly.constant(factor)
-        if factor.is_zero:
-            return VermaVector()
-        return VermaVector({k: v * factor for k, v in self._terms.items()})
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        merged = dict(self._terms)
-        for k, v in other._terms.items():
-            merged[k] = merged.get(k, _ZERO) + v
-        return VermaVector(merged)
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + other.scale(-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def substitute(self, assignment) -> "VermaVector":
-        return VermaVector(
-            {k: v.substitute(assignment) for k, v in self._terms.items()}
-        )
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "VermaVector(0)"
-        bits = [f"({c.canonical_text()})*e{list(k)}" for k, c in self.terms()]
-        return " + ".join(bits)
-
-
 def lowering_word(partition: Partition | Sequence[int]) -> Parts:
     """Modes of the PBW word for a partition, most negative first."""
     return tuple(-p for p in reversed(partition_parts(partition)))
@@ -180,33 +123,35 @@ def raising_word(partition: Partition | Sequence[int]) -> Parts:
 
 
 @lru_cache(maxsize=None)
-def _apply_mode_to_basis(n: int, parts: Parts) -> VermaVector:
+def _apply_mode_to_basis(n: int, parts: Parts) -> Terms:
     """L_n applied to a basis vector, straightened back into the PBW basis.
 
+    The result is the tuple of its nonzero ``(parts, coefficient)`` terms.
     L_n moves past the word's head L_{-q} by the one commutation rule
     L_n L_{-q} = L_{-q} L_n + (n + q) L_{n-q} + (c/12)(n^3 - n) delta_{n,q}.
     """
     if n == 0:
-        return VermaVector({parts: _LAM + sum(parts)})
+        return ((parts, _LAM + sum(parts)),)
     if n > 0 and not parts:
-        return VermaVector()
+        return ()
     if n < 0 and (not parts or -n >= parts[-1]):
-        return VermaVector({parts + (-n,): CoeffPoly.one()})
+        return ((parts + (-n,), CoeffPoly.one()),)
     q, rest = parts[-1], parts[:-1]  # the word's leftmost operator is L_{-q}
-    result = apply_mode(-q, _apply_mode_to_basis(n, rest))
-    result = result + _apply_mode_to_basis(n - q, rest).scale(n + q)
+    out: dict[Parts, CoeffPoly] = {}
+    for head, coeff in _apply_mode_to_basis(n, rest):
+        _accumulate(out, _apply_mode_to_basis(-q, head), coeff)
+    _accumulate(out, _apply_mode_to_basis(n - q, rest), n + q)
     if n == q:
-        central = _C * (Fraction(1, 12) * cocycle(n, -n))
-        result = result + VermaVector({rest: CoeffPoly.one()}).scale(central)
-    return result
+        _accumulate(out, ((rest, _C),), Fraction(1, 12) * cocycle(n, -n))
+    return tuple((k, v) for k, v in out.items() if not v.is_zero)
 
 
-def apply_mode(n: int, vector: VermaVector) -> VermaVector:
-    """The action of the n-th Virasoro mode on a module vector."""
-    result = VermaVector()
-    for parts, coeff in vector.terms():
-        result = result + _apply_mode_to_basis(n, parts).scale(coeff)
-    return result
+def _accumulate(
+    out: dict[Parts, CoeffPoly], terms: Terms, factor: CoeffPoly | Fraction | int
+) -> None:
+    """Add ``factor`` times the terms into ``out``."""
+    for parts, coeff in terms:
+        out[parts] = out.get(parts, _ZERO) + coeff * factor
 
 
 @lru_cache(maxsize=None)
@@ -228,14 +173,14 @@ def gram_entry(k: Parts, kprime: Parts) -> CoeffPoly:
     top, rest = k[-1], k[:-1]
     image = _apply_mode_to_basis(top, kprime)
     level = sum(rest)
-    stray = [parts for parts, _ in image.terms() if sum(parts) != level]
+    stray = sorted(parts for parts, _ in image if sum(parts) != level)
     if stray:
         raise AssertionError(
             f"pairing {k} with {kprime}: L_{top} e{list(kprime)} left terms "
             f"off level {level}: {stray}"
         )
     return CoeffPoly.sum_of_products(
-        (coeff, gram_entry(rest, parts)) for parts, coeff in image.terms()
+        (coeff, gram_entry(rest, parts)) for parts, coeff in image
     )
 
 

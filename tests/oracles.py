@@ -13,6 +13,9 @@ by a route that the product path does not take:
   relation (oracle for the first-mode recursion of
   :func:`loopcft.verma.gram_entry`), with :func:`vacuum`,
   :func:`basis_vector` and :func:`apply_word` to build its vectors;
+  :class:`VermaVector` and :func:`apply_mode` are the vector arithmetic
+  under it, a module vector as a sum of the basis actions of
+  ``loopcft.verma``;
 * :func:`from_canonical_text` parses canonical polynomial text (round-trip
   oracle for :meth:`loopcft.symbolic.CoeffPoly.canonical_text`).
 
@@ -23,8 +26,9 @@ import mode puts this directory on ``sys.path``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
+from loopcft import verma
 from loopcft.operators import (
     ModeOperator,
     OperatorTable,
@@ -47,7 +51,6 @@ from loopcft.symbolic import (
     rank as matrix_rank,
 )
 from loopcft.symbolic.poly import Monomial
-from loopcft.verma import VermaVector, apply_mode
 
 # ---------------------------------------------------------------------------
 # geometric realization
@@ -100,6 +103,77 @@ def level_rank(
 # ---------------------------------------------------------------------------
 # abstract Verma module
 # ---------------------------------------------------------------------------
+
+
+Parts = tuple[int, ...]
+
+
+class VermaVector:
+    """A finite combination of PBW basis vectors with CoeffPoly coefficients."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[Parts, CoeffPoly] | None = None):
+        clean: dict[Parts, CoeffPoly] = {}
+        if terms:
+            for parts, coeff in terms.items():
+                if not coeff.is_zero:
+                    clean[tuple(parts)] = coeff
+        self._terms = clean
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self) -> Iterator[tuple[Parts, CoeffPoly]]:
+        return iter(sorted(self._terms.items()))
+
+    def coefficient(self, parts: Sequence[int]) -> CoeffPoly:
+        return self._terms.get(tuple(parts), CoeffPoly.zero())
+
+    def scale(self, factor: CoeffPoly | Fraction | int) -> "VermaVector":
+        if isinstance(factor, (int, Fraction)):
+            factor = CoeffPoly.constant(factor)
+        if factor.is_zero:
+            return VermaVector()
+        return VermaVector({k: v * factor for k, v in self._terms.items()})
+
+    def __add__(self, other: "VermaVector") -> "VermaVector":
+        merged = dict(self._terms)
+        for k, v in other._terms.items():
+            merged[k] = merged.get(k, CoeffPoly.zero()) + v
+        return VermaVector(merged)
+
+    def __sub__(self, other: "VermaVector") -> "VermaVector":
+        return self + other.scale(-1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VermaVector):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def substitute(self, assignment) -> "VermaVector":
+        return VermaVector(
+            {k: v.substitute(assignment) for k, v in self._terms.items()}
+        )
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return "VermaVector(0)"
+        bits = [f"({c.canonical_text()})*e{list(k)}" for k, c in self.terms()]
+        return " + ".join(bits)
+
+
+def apply_mode(n: int, vector: VermaVector) -> VermaVector:
+    """The action of the n-th Virasoro mode on a module vector."""
+    result = VermaVector()
+    for parts, coeff in vector.terms():
+        image = VermaVector(dict(verma._apply_mode_to_basis(n, parts)))
+        result = result + image.scale(coeff)
+    return result
 
 
 def vacuum() -> VermaVector:

@@ -827,6 +827,18 @@ def test_every_public_name_has_a_caller_or_is_a_named_oracle():
     assert unreferenced == set()
 
 
+def test_src_holds_no_assert_statement():
+    # python -O strips assert statements, so a check in src/ raises instead
+    root = Path(__file__).resolve().parents[1] / "src"
+    asserts = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 # ---------------------------------------------------------------------------
 # where numpy loads
 # ---------------------------------------------------------------------------

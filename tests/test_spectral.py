@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcft import spectral
 from loopcft.spectral import (
     AnnulusMap,
     PoleProximityError,
@@ -275,6 +276,13 @@ def test_bubble_mass_nonnegative_on_configurations():
         amap = mobius_annulus(x0, r)
         for k in range(12):
             assert bubble_mass(amap, 2 * math.pi * k / 12) >= 0, (x0, r, k)
+
+
+def test_bubble_mass_refuses_a_complex_value(monkeypatch):
+    # a raise, not an assert, so the check also holds under python -O
+    monkeypatch.setattr(spectral, "annulus_schwarzian", lambda alpha, z: 1j)
+    with pytest.raises(ArithmeticError, match="bubble mass not real"):
+        bubble_mass(mobius_annulus(0.0, 0.25), 0.0)
 
 
 # ---------------------------------------------------------------------------

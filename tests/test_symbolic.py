@@ -285,6 +285,15 @@ def test_equal_polynomials_built_by_different_routes_hash_equal():
     assert hash(A1 - A1) == hash(CoeffPoly.zero())
 
 
+def test_constant_polynomials_hash_like_the_numbers_they_equal():
+    for value in (0, 3, Fraction(3, 2)):
+        poly = CoeffPoly.constant(value)
+        assert poly == value and hash(poly) == hash(value)
+        assert len({poly, value}) == 1, value
+        assert {value: "number"}[poly] == "number"
+        assert {poly: "poly"}[value] == "poly"
+
+
 def test_canonical_text_goldens():
     assert CoeffPoly.zero().canonical_text() == "0/1"
     p = 3 * A1 * A1 - Fraction(1, 2) * AB3 + 4
@@ -536,10 +545,10 @@ def test_binary_power_matches_sequential_product(n):
     base = F if n > 0 else _reference_series_inverse(F)
     want = base
     for _ in range(abs(n) - 1):
-        want = want * base
+        want = _reference_series_mul(want, base)
     assert got.valuation == want.valuation == n
     assert got.order == want.order
-    assert got.coeffs == want.coeffs
+    assert _series_text(got) == _series_text(want)
 
 
 @st.composite
@@ -569,7 +578,9 @@ def test_series_derivative_product_rule(f, g):
 # The bodies below are LaurentSeries.__mul__ and the recursion of inverse as
 # they read before each output coefficient became one sum_of_products: a
 # product and a sum per term pair.  Patched into LaurentSeries, they are the
-# oracle for __mul__, inverse, __pow__ and the welding build.  The reference
+# oracle for __mul__, inverse and the welding build.  __pow__ calls neither
+# (every nonzero power is Miller's recurrence), so the powers are held
+# against sequential products of the reference mul instead; the reference
 # inverse solves (1 + u) w = 1 term by term, not by Miller's recurrence, so
 # it also seeds the sequential oracle for negative powers.
 
@@ -702,6 +713,23 @@ def test_miller_negative_powers_match_sequential_products(order):
             assert _series_text(got) == _series_text(want), (name, -k)
 
 
+def _sequential_positive_powers(f, depth):
+    """f, f**2, ..., f**depth: the reference product, one factor at a time."""
+    powers = [f]
+    for _ in range(depth - 1):
+        powers.append(_reference_series_mul(powers[-1], f))
+    return powers
+
+
+@pytest.mark.parametrize("order", range(6, 20))
+def test_miller_positive_powers_match_sequential_products(order):
+    for name, f in _miller_cases(order).items():
+        for k, want in enumerate(_sequential_positive_powers(f, 8), start=1):
+            got = f**k
+            assert (got.valuation, got.order) == (want.valuation, want.order) == (k, order + k - 1)
+            assert _series_text(got) == _series_text(want), (name, k)
+
+
 def test_negative_powers_refuse_what_the_inverse_refuses():
     non_unit = LaurentSeries(0, [A1, Fraction(1)], 4)
     message = r"^series inverse needs a rational-constant leading coefficient, got 1/1\*a1$"
@@ -753,6 +781,23 @@ def test_fused_inverse_and_powers_match_the_old_loops(name):
         return results
 
     assert outcomes() == _with_old_loops(outcomes)
+
+
+def test_positive_powers_of_exact_truncated_and_zero_series():
+    for name in ("exact", "truncated", "rational-lead", "zero-exact", "zero-truncated"):
+        f = SERIES_CASES[name]
+        for k, want in enumerate(_sequential_positive_powers(f, 4), start=1):
+            got = f**k
+            assert _series_text(got) == _series_text(want), (name, k)
+            assert got.is_exact == f.is_exact, (name, k)
+    assert LaurentSeries.zero(3) ** 4 == LaurentSeries.zero(12)
+    assert LaurentSeries.zero() ** 4 == LaurentSeries.zero()
+    # the exact power keeps its top coefficient: (1 + z)^3 = 1 + 3z + 3z^2 + z^3
+    assert LaurentSeries(0, [1, 1]) ** 3 == LaurentSeries(0, [1, 3, 3, 1])
+    message = r"^series inverse needs a rational-constant leading coefficient, got 1/1\*a1$"
+    for k in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            LaurentSeries(0, [A1, Fraction(1)], 4) ** k
 
 
 @st.composite

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from loopcft import verma
 from loopcft.symbolic import CC, LAMBDA, CoeffPoly, partition_count, partitions_of
 from loopcft.verma import (
-    VermaVector,
-    apply_mode,
     central_charge,
     cocycle,
     gram_entry,
@@ -25,7 +23,7 @@ from loopcft.verma import (
     raising_word,
     singular_vectors,
 )
-from oracles import basis_vector, normal_order, vacuum
+from oracles import VermaVector, apply_mode, basis_vector, normal_order, vacuum
 
 LAM = CoeffPoly.generator(LAMBDA)
 C = CoeffPoly.generator(CC)
@@ -129,6 +127,12 @@ def test_one_commutation_rule_matches_the_lowering_and_raising_recursions():
             for n in range(-8, 9):
                 want = _reference_apply(n, vector)
                 assert apply_mode(n, vector) == want, (n, partition.parts)
+                terms = verma._apply_mode_to_basis(n, partition.parts)
+                assert type(terms) is tuple, (n, partition.parts)
+                assert all(not coeff.is_zero for _, coeff in terms), (n, partition.parts)
+    # the vector arithmetic is the tests' oracle, not the product path's
+    assert not hasattr(verma, "VermaVector")
+    assert not hasattr(verma, "apply_mode")
 
 
 def test_gram_goldens():
@@ -176,7 +180,7 @@ def test_gram_entry_reads_parts_in_any_order():
 
 
 def test_gram_entry_names_the_pair_when_straightening_leaves_its_level(monkeypatch):
-    off_level = VermaVector({(1,): CoeffPoly.one(), (2,): CoeffPoly.one()})
+    off_level = (((1,), CoeffPoly.one()), ((2,), CoeffPoly.one()))
     monkeypatch.setattr(verma, "_apply_mode_to_basis", lambda n, parts: off_level)
     with pytest.raises(AssertionError, match=r"pairing \(1, 2\) with \(3,\).*\[\(2,\)\]"):
         gram_entry.__wrapped__((1, 2), (3,))
