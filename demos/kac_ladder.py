@@ -17,6 +17,7 @@ from loopcft.verma import (
     gram_rank_at,
     kac_determinant_at,
     kac_lambda,
+    kac_table,
     singular_vectors,
 )
 
@@ -36,14 +37,7 @@ def main() -> None:
         print(f"level {level}  (basis size {partition_count(level)})")
         print(f"  det = {det.canonical_text()}")
 
-        roots = sorted(
-            {
-                kac_lambda(r, s, kappa)
-                for r in range(1, level + 1)
-                for s in range(1, level + 1)
-                if r * s <= level
-            }
-        )
+        roots = sorted({kac_lambda(r, s, kappa) for r, s in kac_table(level)})
         verified = [w for w in roots if det.substitute({LAMBDA: w}).is_zero]
         print(f"  degenerate weights with rs <= {level}: "
               + ", ".join(str(w) for w in verified))

@@ -15,8 +15,8 @@ data (:class:`StatePoly`) rather than reading it off monomial degrees.
 On a state the Euler and central terms act as one scalar polynomial,
 ``s = e_coeff * (2*lambda + N + Ntilde) + id_coeff``, memoized per total
 level in the prepared form the kernel reads.  :meth:`ModeOperator.apply`
-hands the operator's :class:`~loopcft.symbolic.Derivation`, built from
-``d_a`` and ``d_abar`` on the first ``apply`` or ``derive``, and ``s`` to
+hands the operator's :class:`~loopcft.symbolic.Derivation`, a cached
+property derived from ``d_a`` and ``d_abar``, and ``s`` to
 :meth:`CoeffPoly.first_order`, which sums every product term into one
 accumulator over one common denominator and reduces only the result: no
 per-generator derivative, product or sum is ever built.  The window check
@@ -55,9 +55,9 @@ silently — an operator that cannot act exactly on a state raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, sub
 from typing import Mapping, Sequence
 
@@ -133,8 +133,6 @@ class StatePoly:
         return self.poly.is_zero
 
     def scale(self, factor: CoeffPoly | Fraction | int) -> "StatePoly":
-        if isinstance(factor, (int, Fraction)):
-            factor = CoeffPoly.constant(factor)
         return StatePoly(self.poly * factor, self.level)
 
     def __add__(self, other: "StatePoly") -> "StatePoly":
@@ -190,10 +188,6 @@ class ModeOperator:
     id_coeff: CoeffPoly
     d_a: Mapping[int, CoeffPoly]
     d_abar: Mapping[int, CoeffPoly]
-    # the derivation part prepared for CoeffPoly.first_order, built on first use
-    _derivation: Derivation | None = field(init=False, compare=False, repr=False, default=None)
-    # the prepared scalar part at each total level N + Ntilde, filled on first use
-    _scalars: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     # the dict fields make the generated hash fail; say so in the type
     __hash__ = None
@@ -204,6 +198,18 @@ class ModeOperator:
         d_abar = {m: c for m, c in self.d_abar.items() if not c.is_zero}
         object.__setattr__(self, "d_a", d_a)
         object.__setattr__(self, "d_abar", d_abar)
+
+    @cached_property
+    def _derivation(self) -> Derivation:
+        """The derivation part, prepared for :meth:`CoeffPoly.first_order`."""
+        coeffs = {gen_a(m): c for m, c in self.d_a.items()}
+        coeffs.update((gen_abar(m), c) for m, c in self.d_abar.items())
+        return Derivation(coeffs)
+
+    @cached_property
+    def _scalars(self) -> dict[int, Prepared]:
+        """The prepared scalar part at each total level N + Ntilde, filled on first use."""
+        return {}
 
     @property
     def is_zero(self) -> bool:
@@ -218,13 +224,7 @@ class ModeOperator:
                 f"input reaches index {poly.max_coefficient_index()} but mode "
                 f"{self.mode} operator only covers indices up to {self.max_index}"
             )
-        derivation = self._derivation
-        if derivation is None:
-            coeffs = {gen_a(m): c for m, c in self.d_a.items()}
-            coeffs.update((gen_abar(m), c) for m, c in self.d_abar.items())
-            derivation = Derivation(coeffs)
-            object.__setattr__(self, "_derivation", derivation)
-        return poly.first_order(derivation, scalar, reach)
+        return poly.first_order(self._derivation, scalar, reach)
 
     def derive(self, poly: CoeffPoly, scalar: CoeffPoly | None = None) -> CoeffPoly:
         """The derivation part sum_g d_g * d/dg, plus ``scalar * poly``, on a polynomial.
@@ -273,7 +273,7 @@ class ModeOperator:
 
         Coefficients on that window do not depend on the build window, so a
         welded operator restricted to w is ``==`` to a direct build at w.
-        The scalar memo is shared: the Euler and identity parts are unchanged.
+        The copy prepares its own derivation and scalars on first use.
         """
         if max_index > self.max_index:
             raise OperatorWindowError(
@@ -281,14 +281,12 @@ class ModeOperator:
             )
         if max_index == self.max_index:
             return self
-        op = replace(
+        return replace(
             self,
             max_index=max_index,
             d_a={m: c for m, c in self.d_a.items() if m <= max_index},
             d_abar={m: c for m, c in self.d_abar.items() if m <= max_index},
         )
-        object.__setattr__(op, "_scalars", self._scalars)
-        return op
 
     def scaled(self, factor: Fraction | int) -> "ModeOperator":
         """Every part times the rational ``factor``, on the same window."""

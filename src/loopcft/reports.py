@@ -40,6 +40,7 @@ from .verma import (
     gram_rank_at,
     kac_determinant_at,
     kac_lambda,
+    kac_table,
     singular_vectors,
 )
 
@@ -437,14 +438,7 @@ def suite_kac(cfg: RunConfig) -> Report:
 
     def roots() -> tuple[bool, str]:
         det = kac_determinant_at(level, charge)
-        candidates = sorted(
-            {
-                kac_lambda(r, s, cfg.kappa)
-                for r in range(1, level + 1)
-                for s in range(1, level + 1)
-                if r * s <= level
-            }
-        )
+        candidates = sorted({kac_lambda(r, s, cfg.kappa) for r, s in kac_table(level)})
         for w in candidates:
             residue = det.substitute({LAMBDA: w})
             if not residue.is_zero:

@@ -232,21 +232,20 @@ class LaurentSeries:
             return LaurentSeries.zero(order)
         return LaurentSeries(self.valuation + k, self.coeffs, order)
 
-    def _unit_lead(self) -> Fraction:
-        """The lowest coefficient as a nonzero rational; raises if it is not a unit."""
+    def _unit_lead(self, alpha: int) -> Fraction:
+        """The lowest coefficient as a nonzero rational; the refusal names self**alpha."""
+        operation = "inverse" if alpha == -1 else f"power {alpha}"
         if self.is_zero:
-            raise ZeroDivisionError("inverse of the zero series")
+            raise ZeroDivisionError(f"{operation} of the zero series")
+        # __init__ strips leading zeros, so a constant lead is nonzero
         lead = self.coeffs[0]
         try:
-            lead_const = lead.as_constant()
+            return lead.as_constant()
         except ValueError:
             raise ValueError(
-                "series inverse needs a rational-constant leading coefficient, got "
+                f"series {operation} needs a rational-constant leading coefficient, got "
                 f"{lead.canonical_text()}"
             ) from None
-        if lead_const == 0:
-            raise ZeroDivisionError("inverse of a series with zero leading coefficient")
-        return lead_const
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse; the lowest coefficient must be a rational unit."""
@@ -268,7 +267,7 @@ class LaurentSeries:
         """
         if alpha > 0 and self.is_zero:
             return LaurentSeries.zero(alpha * self.order)
-        lead_const = self._unit_lead()
+        lead_const = self._unit_lead(alpha)
         v = self.valuation
         scale = lead_const**alpha
         order = self.order + (alpha - 1) * v

@@ -63,6 +63,7 @@ __all__ = [
     "kac_determinant",
     "kac_determinant_at",
     "kac_lambda",
+    "kac_table",
     "central_charge",
     "cocycle",
 ]
@@ -93,6 +94,11 @@ def kac_lambda(r: int, s: int, kappa: Fraction | int) -> Fraction:
         + Fraction(s * s - 1) / kappa
         + Fraction(1 - r * s, 2)
     )
+
+
+def kac_table(level: int) -> tuple[tuple[int, int], ...]:
+    """The Kac indices (r, s) with r*s <= level, ordered by r, then s."""
+    return tuple((r, s) for r in range(1, level + 1) for s in range(1, level // r + 1))
 
 
 @lru_cache(maxsize=None)

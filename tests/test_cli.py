@@ -839,6 +839,30 @@ def test_src_holds_no_assert_statement():
     assert asserts == []
 
 
+def test_src_sets_frozen_attributes_only_in_post_init():
+    # derived state is a cached_property; object.__setattr__ only normalizes fields
+    root = Path(__file__).resolve().parents[1] / "src"
+    outside = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(inner)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for inner in ast.walk(fn)
+        }
+        outside += [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+            and id(node) not in allowed
+        ]
+    assert outside == []
+
+
 # ---------------------------------------------------------------------------
 # where numpy loads
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ purely from the algebra it must satisfy.
 """
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -453,11 +453,27 @@ def test_filled_caches_leave_operators_equal_to_fresh_builds():
         for state in (fresh_state(A1 * AB2), fresh_state(A3), vacuum_state()):
             used.apply(state)
         used.derive(A2 * AB1)
-        assert used._derivation is not None and used._scalars
+        assert {"_derivation", "_scalars"} <= vars(used).keys() and used._scalars
         fresh = _family(build_mode_operator(n, max_index=5), bar)
         assert used == fresh and fresh == used
         assert used.restricted(3) == fresh.restricted(3)
         assert not used != fresh
+
+
+def test_mode_operator_fields_are_its_data():
+    # the prepared derivation and scalar memo are derived state, not fields
+    names = [f.name for f in fields(ModeOperator)]
+    assert names == ["mode", "bar", "max_index", "e_coeff", "id_coeff", "d_a", "d_abar"]
+
+
+def test_a_restricted_operator_prepares_its_own_scalars():
+    op = build_mode_operator(-2, max_index=5)
+    state = fresh_state(A1 * AB2)
+    op.apply(state)
+    view = op.restricted(3)
+    assert view._scalars is not op._scalars and view._scalars == {}
+    assert view.apply(state) == build_mode_operator(-2, max_index=3).apply(state)
+    assert set(view._scalars) == set(op._scalars) == {3}
 
 
 def test_apply_matches_the_by_parts_sum_on_every_operator_kind():

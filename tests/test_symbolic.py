@@ -667,12 +667,17 @@ def _series_text(f):
     return (f.valuation, f.order, [c.canonical_text() for c in f.coeffs])
 
 
+_ONE_SERIES = LaurentSeries.monomial(0, 1, None)
+
+
 @pytest.mark.parametrize("order", range(6, 19))
 def test_fused_powers_of_the_coefficient_map_match_the_old_loops(order):
+    # __pow__ calls neither patched method: hold F**k against sequential products
     F = _coefficient_map(order)
-    exponents = range(-8, 9)
-    got = [_series_text(F**k) for k in exponents]
-    assert got == _with_old_loops(lambda: [_series_text(F**k) for k in exponents])
+    got = [_series_text(F**k) for k in range(-8, 9)]
+    negative = _sequential_negative_powers(F, 8)[::-1]
+    positive = _sequential_positive_powers(F, 8)
+    assert got == [_series_text(p) for p in negative + [_ONE_SERIES] + positive]
     assert _series_text(F.inverse()) == _with_old_loops(lambda: _series_text(F.inverse()))
     Fp = F.derivative()
     assert _series_text(Fp * Fp.inverse()) == _with_old_loops(lambda: _series_text(Fp * Fp.inverse()))
@@ -730,15 +735,21 @@ def test_miller_positive_powers_match_sequential_products(order):
             assert _series_text(got) == _series_text(want), (name, k)
 
 
+def _refusal(operation):
+    """The refusal of ``operation`` on a series whose lead is a1."""
+    return rf"^series {operation} needs a rational-constant leading coefficient, got 1/1\*a1$"
+
+
 def test_negative_powers_refuse_what_the_inverse_refuses():
     non_unit = LaurentSeries(0, [A1, Fraction(1)], 4)
-    message = r"^series inverse needs a rational-constant leading coefficient, got 1/1\*a1$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_refusal("inverse")):
         non_unit.inverse()
-    for k in (-1, -3):
-        with pytest.raises(ValueError, match=message):
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of the zero series$"):
+        LaurentSeries.zero(5).inverse()
+    for k, operation in ((-1, "inverse"), (-3, "power -3")):
+        with pytest.raises(ValueError, match=_refusal(operation)):
             non_unit**k
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match=rf"^{operation} of the zero series$"):
             LaurentSeries.zero(5) ** k
         with pytest.raises(InsufficientOrderError):
             LaurentSeries(0, [Fraction(1), A1], None) ** k
@@ -767,20 +778,33 @@ def test_fused_series_products_match_the_old_loop(left, right):
     assert _series_text(f * g) == _with_old_loops(lambda: _series_text(f * g))
 
 
+def _outcome(thunk):
+    """The series text of ``thunk()``, or the name of the error it raises."""
+    try:
+        return _series_text(thunk())
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err).__name__
+
+
 @pytest.mark.parametrize("name", sorted(SERIES_CASES))
 def test_fused_inverse_and_powers_match_the_old_loops(name):
     f = SERIES_CASES[name]
-
-    def outcomes():
-        results = []
-        for k in range(-4, 5):
-            try:
-                results.append(_series_text(f**k))
-            except (ValueError, ZeroDivisionError) as err:
-                results.append(type(err).__name__)
-        return results
-
-    assert outcomes() == _with_old_loops(outcomes)
+    assert _outcome(f.inverse) == _with_old_loops(lambda: _outcome(f.inverse))
+    # __pow__ calls neither patched method: hold f**k against sequential products,
+    # and a refusal against the reference inverse's.  A positive power is refused
+    # only for a lead that is not a rational constant (ValueError); the exact
+    # multi-term series and the zero series still have positive powers.
+    refusal = _outcome(lambda: _reference_series_inverse(f))
+    if isinstance(refusal, str):
+        negative = [refusal] * 4
+    else:
+        negative = [_series_text(p) for p in _sequential_negative_powers(f, 4)[::-1]]
+    if refusal == "ValueError":
+        positive = [refusal] * 4
+    else:
+        positive = [_series_text(p) for p in _sequential_positive_powers(f, 4)]
+    got = [_outcome(lambda: f**k) for k in range(-4, 5)]
+    assert got == negative + [_series_text(_ONE_SERIES)] + positive
 
 
 def test_positive_powers_of_exact_truncated_and_zero_series():
@@ -794,9 +818,8 @@ def test_positive_powers_of_exact_truncated_and_zero_series():
     assert LaurentSeries.zero() ** 4 == LaurentSeries.zero()
     # the exact power keeps its top coefficient: (1 + z)^3 = 1 + 3z + 3z^2 + z^3
     assert LaurentSeries(0, [1, 1]) ** 3 == LaurentSeries(0, [1, 3, 3, 1])
-    message = r"^series inverse needs a rational-constant leading coefficient, got 1/1\*a1$"
     for k in (1, 2):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=_refusal(f"power {k}")):
             LaurentSeries(0, [A1, Fraction(1)], 4) ** k
 
 

@@ -254,6 +254,17 @@ def test_kac_determinant_at_matches_symbolic_route_at_any_charge(level, charge):
     assert fast.canonical_text() == oracle.canonical_text()
 
 
+def test_kac_table_is_the_brute_force_index_set():
+    for level in range(13):
+        brute = [
+            (r, s)
+            for r in range(1, level + 1)
+            for s in range(1, level + 1)
+            if r * s <= level
+        ]
+        assert list(verma.kac_table(level)) == brute, level
+
+
 def _leading_coefficient(poly: CoeffPoly) -> Fraction:
     return max(poly.terms(), key=lambda term: term[0][0][2] if term[0] else 0)[1]
 
