@@ -13,14 +13,14 @@ bidegree-homogeneous monomials, states carry their bi-level as explicit
 data (:class:`StatePoly`) rather than reading it off monomial degrees.
 
 On a state the Euler and central terms act as one scalar polynomial,
-``s = e_coeff * (2*lambda + N + Ntilde) + id_coeff``, memoized per total
-level in the prepared form the kernel reads.  :meth:`ModeOperator.apply`
-hands the operator's :class:`~loopcft.symbolic.Derivation`, a cached
-property derived from ``d_a`` and ``d_abar``, and ``s`` to
+``s = e_coeff * (2*lambda + N + Ntilde) + id_coeff``.  The operator's
+:class:`~loopcft.symbolic.Derivation`, a cached property derived from
+``d_a`` and ``d_abar``, takes ``s`` through ``with_scalar`` into one
+kernel operand, memoized per total level.  :meth:`ModeOperator.apply`
+checks the state's index window and hands that operand to
 :meth:`CoeffPoly.first_order`, which sums every product term into one
 accumulator over one common denominator and reduces only the result: no
-per-generator derivative, product or sum is ever built.  The window check
-reads the OR of the state's monomials that the kernel reads too.
+per-generator derivative, product or sum is ever built.
 
 The central coefficient comes from the Schwarzian cocycle.  With
 ``q = -F**(n+1) / F'`` the deformation field pulled back to the z-plane,
@@ -74,7 +74,6 @@ from .symbolic import (
     schwarzian,
     series_reversion,
 )
-from .symbolic.poly import Prepared, _index_limit
 from .verma import central_charge, cocycle, kac_lambda, lowering_word, raising_word
 
 __all__ = [
@@ -207,8 +206,8 @@ class ModeOperator:
         return Derivation(coeffs)
 
     @cached_property
-    def _scalars(self) -> dict[int, Prepared]:
-        """The prepared scalar part at each total level N + Ntilde, filled on first use."""
+    def _scalars(self) -> dict[int, Derivation]:
+        """The whole operator as one kernel operand at each total level N + Ntilde."""
         return {}
 
     @property
@@ -216,15 +215,14 @@ class ModeOperator:
         """True when the derivation, Euler and identity parts all vanish."""
         return not self.d_a and not self.d_abar and self.e_coeff.is_zero and self.id_coeff.is_zero
 
-    def _act(self, poly: CoeffPoly, scalar: Prepared | None = None) -> CoeffPoly:
-        """The derivation plus ``scalar`` on a polynomial inside the window."""
-        reach = poly.reach()
-        if reach >= _index_limit(self.max_index):
+    def _act(self, poly: CoeffPoly, op: Derivation) -> CoeffPoly:
+        """The kernel operand ``op`` on a polynomial inside the window."""
+        if poly.max_coefficient_index() > self.max_index:
             raise OperatorWindowError(
                 f"input reaches index {poly.max_coefficient_index()} but mode "
                 f"{self.mode} operator only covers indices up to {self.max_index}"
             )
-        return poly.first_order(self._derivation, scalar, reach)
+        return poly.first_order(op)
 
     def derive(self, poly: CoeffPoly, scalar: CoeffPoly | None = None) -> CoeffPoly:
         """The derivation part sum_g d_g * d/dg, plus ``scalar * poly``, on a polynomial.
@@ -232,30 +230,30 @@ class ModeOperator:
         One pass of :meth:`CoeffPoly.first_order`: no per-generator
         temporaries, one reduction of the result.
         """
-        return self._act(poly, None if scalar is None else scalar.prepared())
+        return self._act(poly, self._derivation.with_scalar(scalar))
 
     def apply(self, state: StatePoly) -> StatePoly:
         """The whole operator on a state, derivation and scalar part in one pass.
 
         At bi-level (N, Ntilde) the Euler and identity terms act as the scalar
-        ``e_coeff * (2*lambda + N + Ntilde) + id_coeff`` (memoized per total
-        level), which joins the derivation in a single
-        :meth:`CoeffPoly.first_order` call.
+        ``e_coeff * (2*lambda + N + Ntilde) + id_coeff``, which joins the
+        derivation in one kernel operand (memoized per total level) and a
+        single :meth:`CoeffPoly.first_order` call.
         """
         if state.is_zero:
             return state
         n_left, n_right = state.level
         total = n_left + n_right
-        scalar = self._scalars.get(total)
-        if scalar is None:
-            scalar = (self.e_coeff * (2 * _LAM + total) + self.id_coeff).prepared()
-            self._scalars[total] = scalar
-        out = self._act(state.poly, scalar)
+        op = self._scalars.get(total)
+        if op is None:
+            scalar = self.e_coeff * (2 * _LAM + total) + self.id_coeff
+            op = self._scalars[total] = self._derivation.with_scalar(scalar)
+        out = self._act(state.poly, op)
         if self.bar:
             new_level = (n_left, n_right - self.mode)
         else:
             new_level = (n_left - self.mode, n_right)
-        return StatePoly(out, new_level if not out.is_zero else None)
+        return StatePoly(out, new_level)
 
     def mirrored(self) -> "ModeOperator":
         """The same mode of the other family (bar involution of all data)."""

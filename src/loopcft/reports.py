@@ -493,9 +493,10 @@ def suite_singular(cfg: RunConfig, table: OperatorTable | None = None) -> Report
         basis = singular_vectors(n, weight, charge)
         if not basis:
             return False, "no kernel vector at the degenerate weight"
-        rank = gram_rank_at(n, weight, charge)
+        # rank-nullity: the kernel basis already fixes the rank
+        size = partition_count(n)
         return True, (
-            f"kernel dim {len(basis)}, rank {rank} of {partition_count(n)} "
+            f"kernel dim {len(basis)}, rank {size - len(basis)} of {size} "
             f"at lambda={_frac_str(weight)}"
         )
 

@@ -23,11 +23,13 @@ A first-order operator ``sum_g d_g * d/dg + s`` acts through ``first_order``,
 and a sum of products ``sum a * b`` is taken by ``sum_of_products``, each in
 one pass: every product term goes into one accumulator over one common
 denominator, and only the result is reduced.  One schoolbook loop serves
-both and ``__mul__``.  The operator comes prepared once as a
-``Derivation``: each coefficient's terms, denominator and reach, keyed by
-the bit offset of its generator's field, so a call ORs the state's
-monomials once and visits only the fields the two share, with no
-``Generator`` built or hashed.
+both and ``__mul__``.  The operator is one operand, a ``Derivation``
+prepared once: each coefficient's terms, denominator and reach, keyed by
+the bit offset of its generator's field.  ``Derivation.with_scalar`` adds
+the multiplication part ``s`` and shares those prepared parts.  A call ORs
+its input's monomials once and visits only the fields the two share, with
+no ``Generator`` built or hashed.  ``derivative`` is the one-generator
+case of the same kernel.
 
 Only the public boundary decodes (memoized per monomial): ``terms()``, the
 constant accessors, the grading query and the canonical text.  There a
@@ -71,7 +73,7 @@ _KIND_NAMES = {_KIND_A: "a", _KIND_ABAR: "abar", _KIND_LAMBDA: "lambda", _KIND_C
 # (kind, index), all exponents > 0; the empty tuple is the constant monomial.
 Monomial = tuple[tuple[int, int, int], ...]
 # A polynomial as the first-order kernel reads it: ((packed monomial, numerator), ...),
-# the denominator, and the OR of the monomials (see CoeffPoly.prepared).
+# the denominator, and the OR of the monomials (see _prepared).
 Prepared = tuple[tuple[tuple[int, int], ...], int, int]
 
 _FIELD = 16
@@ -196,11 +198,6 @@ def _shifts_of(mono: int) -> tuple[int, ...]:
     return tuple(_shift(kind, index) for kind, index, _ in _decode(mono))
 
 
-def _index_limit(max_index: int) -> int:
-    """The least reach of a polynomial holding an a or abar index above ``max_index``."""
-    return 1 << 2 * _FIELD * (max_index + 1)
-
-
 def _mono_degree(mono: Monomial) -> int:
     return sum(e for _, _, e in mono)
 
@@ -266,6 +263,10 @@ def _products(
                     else:
                         del out[mono]
     return out
+
+
+def _prepared(poly: "CoeffPoly") -> Prepared:
+    return tuple(poly._nums.items()), poly._den, _reach(poly._nums)
 
 
 def _poly(nums: dict[int, int], den: int) -> "CoeffPoly":
@@ -386,10 +387,6 @@ class CoeffPoly:
             return self.constant_part()
         raise ValueError(f"not a constant polynomial: {self.canonical_text()}")
 
-    def reach(self) -> int:
-        """The OR of the packed monomials: no monomial has a bit set above its top bit."""
-        return _reach(self._nums)
-
     def max_coefficient_index(self) -> int:
         """Largest index appearing among a/abar generators (0 if none)."""
         # the largest packed int holds the highest occupied field
@@ -473,49 +470,30 @@ class CoeffPoly:
     def derivative(self, gen: Generator) -> "CoeffPoly":
         """Exact partial derivative with respect to one generator.
 
-        The product path differentiates through :meth:`first_order` and
-        never calls this; the tests use it as the per-generator oracle for
-        that kernel.  It stays on the class because ``perfbench/tracer.py``
-        wraps it by name for its ``poly.derivative`` counters.
+        The one-generator case of :meth:`first_order`.  The product path
+        calls that kernel itself; this name stays because
+        ``perfbench/tracer.py`` wraps it for its ``poly.derivative`` counters.
         """
-        shift = _shift(gen.kind, gen.index)
-        if shift is None:
-            return CoeffPoly.zero()
-        unit = 1 << shift
-        out: dict[int, int] = {}
-        for mono, coef in self._nums.items():
-            exp = (mono >> shift) & MAX_EXPONENT
-            if exp:
-                out[mono - unit] = coef * exp
-        return _reduced(out, self._den)
+        return self.first_order(Derivation({gen: CoeffPoly.one()}))
 
-    def first_order(
-        self, derivation: "Derivation", scalar: Prepared | None = None, reach: int | None = None
-    ) -> "CoeffPoly":
-        """The first-order operator ``derivation + scalar`` applied to self.
+    def first_order(self, op: "Derivation") -> "CoeffPoly":
+        """The first-order operator ``op`` (a derivation plus a scalar) applied to self.
 
-        ``scalar`` is a polynomial in the prepared form of :meth:`prepared`.
         One pass, one reduction: a monomial m of exponent e in g, with
         numerator c, meets every term (m', c') of g's coefficient at
         m - unit_g + m' with numerator c * e * c'; the scalar part puts c * c'
         at m + m'.  Only the generators present in both self and the
         derivation are visited, found from the OR of self's monomials.
-        Everything is summed into one accumulator over one common
+        Everything is summed into one accumulator over the operand's common
         denominator and only the result is reduced.  An exponent past
-        ``MAX_EXPONENT`` raises ``OverflowError`` as in ``__mul__``.  A
-        caller that has taken :meth:`reach` already passes it in.
+        ``MAX_EXPONENT`` raises ``OverflowError`` as in ``__mul__``.
         """
         nums = self._nums
-        if reach is None:
-            reach = _reach(nums)
-        if scalar is not None and not scalar[0]:
-            scalar = None
-        den, bound = derivation.den, derivation.reach
-        if scalar is not None:
-            den, bound = lcm(den, scalar[1]), bound | scalar[2]
+        reach = _reach(nums)
+        den = op.den
         pairs = []
-        for shift in _shifts_of(reach & derivation.fields):
-            terms, part_den, _ = derivation.parts[shift]
+        for shift in _shifts_of(reach & op.fields):
+            terms, part_den, _ = op.parts[shift]
             unit, factor = 1 << shift, den // part_den
             lowered = [
                 (m - unit, c * exp * factor)
@@ -523,17 +501,14 @@ class CoeffPoly:
                 if (exp := m >> shift & MAX_EXPONENT)
             ]
             pairs.append((lowered, terms))
-        if scalar is not None:
-            factor = den // scalar[1]
-            pairs.append(([(m, c * factor) for m, c in nums.items()], scalar[0]))
+        if op.scalar is not None:
+            terms, scalar_den, _ = op.scalar
+            factor = den // scalar_den
+            pairs.append(([(m, c * factor) for m, c in nums.items()], terms))
         if not pairs:
             return CoeffPoly.zero()
         # lowering only lowers exponents, so self's reach bounds every source
-        return _reduced(_products(pairs, reach + bound), self._den * den)
-
-    def prepared(self) -> Prepared:
-        """``(terms, denominator, reach)``, the form ``first_order`` reads a coefficient in."""
-        return tuple(self._nums.items()), self._den, _reach(self._nums)
+        return _reduced(_products(pairs, reach + op.reach), self._den * den)
 
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple["CoeffPoly", "CoeffPoly"]]) -> "CoeffPoly":
@@ -650,20 +625,41 @@ class Derivation:
     coefficient in prepared form (no polynomial holds a generator past the
     packed range, so those are dropped); ``fields``, ``den`` and ``reach``
     are the OR of those fields, the lcm of the denominators and the OR of
-    the reaches.
+    the reaches.  ``scalar`` is the prepared multiplication part, which
+    only :meth:`with_scalar` sets; ``den`` and ``reach`` then cover it too.
     """
 
-    __slots__ = ("parts", "fields", "den", "reach")
+    __slots__ = ("parts", "fields", "den", "reach", "scalar")
 
     def __init__(self, coeffs: Mapping[Generator, CoeffPoly]):
         self.parts: dict[int, Prepared] = {}
         for gen, coeff in coeffs.items():
             shift = _shift(gen.kind, gen.index)
             if shift is not None and coeff._nums:
-                self.parts[shift] = coeff.prepared()
+                self.parts[shift] = _prepared(coeff)
         self.fields = sum(_FIELD_MASK << shift for shift in self.parts)
         self.den = lcm(*(den for _, den, _ in self.parts.values()))
         self.reach = _reach(reach for _, _, reach in self.parts.values())
+        self.scalar: Prepared | None = None
+
+    def with_scalar(self, scalar: CoeffPoly | None) -> "Derivation":
+        """This derivation plus multiplication by ``scalar``, as one operand.
+
+        The operand shares this one's prepared parts and folds the scalar's
+        denominator and reach into this one's ``den`` and ``reach``, so the
+        cost is the scalar's own terms.  A zero or absent scalar gives this
+        derivation back; one that already has a scalar takes no second.
+        """
+        if self.scalar is not None:
+            raise ValueError("this operand already has a scalar part")
+        if scalar is None or not scalar._nums:
+            return self
+        op = object.__new__(Derivation)
+        op.parts, op.fields = self.parts, self.fields
+        op.scalar = _prepared(scalar)
+        op.den = lcm(self.den, scalar._den)
+        op.reach = self.reach | op.scalar[2]
+        return op
 
 
 def _weighted_degree(mono: int) -> tuple[int, int]:

@@ -17,7 +17,11 @@ by a route that the product path does not take:
   under it, a module vector as a sum of the basis actions of
   ``loopcft.verma``;
 * :func:`from_canonical_text` parses canonical polynomial text (round-trip
-  oracle for :meth:`loopcft.symbolic.CoeffPoly.canonical_text`).
+  oracle for :meth:`loopcft.symbolic.CoeffPoly.canonical_text`);
+* :func:`partial_derivative` differentiates term by term on the decoded
+  monomials of ``terms()`` (oracle for
+  :meth:`loopcft.symbolic.CoeffPoly.derivative` and, summed, for the
+  first-order kernel it is a case of).
 
 The tests import them as ``from oracles import ...``: pytest's default
 import mode puts this directory on ``sys.path``.
@@ -195,6 +199,24 @@ def apply_word(word: Sequence[int], vector: VermaVector) -> VermaVector:
 def normal_order(word: Sequence[int]) -> VermaVector:
     """The word applied to the highest-weight vector, fully straightened."""
     return apply_word(word, vacuum())
+
+
+# ---------------------------------------------------------------------------
+# polynomials through their public terms
+# ---------------------------------------------------------------------------
+
+
+def partial_derivative(poly: CoeffPoly, gen: Generator) -> CoeffPoly:
+    """d(poly)/d(gen), read off ``poly.terms()`` and rebuilt by the constructor."""
+    out: dict[Monomial, Fraction] = {}
+    for mono, coef in poly.terms():
+        exponents = {(kind, index): exp for kind, index, exp in mono}
+        exp = exponents.pop((gen.kind, gen.index), 0)
+        if exp:
+            if exp > 1:
+                exponents[gen.kind, gen.index] = exp - 1
+            out[tuple((kind, index, e) for (kind, index), e in exponents.items())] = coef * exp
+    return CoeffPoly(out)
 
 
 # ---------------------------------------------------------------------------

@@ -839,6 +839,21 @@ def test_src_holds_no_assert_statement():
     assert asserts == []
 
 
+def test_src_imports_no_private_name_of_another_module():
+    # a module's underscore names are its own; other modules read its public API
+    root = Path(__file__).resolve().parents[1] / "src"
+    private = [
+        f"{path.relative_to(root)}:{node.lineno} {alias.name}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "loopcft")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
+
+
 def test_src_sets_frozen_attributes_only_in_post_init():
     # derived state is a cached_property; object.__setattr__ only normalizes fields
     root = Path(__file__).resolve().parents[1] / "src"

@@ -50,7 +50,7 @@ from loopcft.symbolic import (
 )
 from loopcft.symbolic.poly import MAX_EXPONENT
 from loopcft.verma import central_charge, gram_entry, gram_rank_at, kac_lambda
-from oracles import level_rank, recursion_mode_operator
+from oracles import level_rank, partial_derivative, recursion_mode_operator
 
 LAM = CoeffPoly.generator(LAMBDA)
 C = CoeffPoly.generator(CC)
@@ -153,10 +153,10 @@ def test_bar_family_is_the_mirror(table):
 
 
 def _first_order_by_parts(poly, coeffs, scalar=None):
-    """Oracle: sum_g coeffs[g] * d(poly)/dg, plus scalar * poly, by derivative, * and +."""
+    """Oracle: sum_g coeffs[g] * d(poly)/dg, plus scalar * poly, by partial_derivative, * and +."""
     out = ZERO
     for gen, coeff in coeffs.items():
-        out = out + coeff * poly.derivative(gen)
+        out = out + coeff * partial_derivative(poly, gen)
     if scalar is not None:
         out = out + scalar * poly
     return out
@@ -322,8 +322,8 @@ def _kernel_polys(draw, max_terms=4, exponents=st.integers(1, 3)):
 
 
 def _first_order(poly, coeffs, scalar):
-    """The kernel on the prepared forms of a generator-keyed map and a scalar."""
-    return poly.first_order(Derivation(coeffs), None if scalar is None else scalar.prepared())
+    """The kernel on one operand: a generator-keyed map with a scalar."""
+    return poly.first_order(Derivation(coeffs).with_scalar(scalar))
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,6 +357,36 @@ def test_first_order_overflows_exactly_when_the_products_do(poly, coeffs, scalar
             _first_order(poly, coeffs, scalar)
     else:
         assert _first_order(poly, coeffs, scalar) == want
+
+
+_OPERAND_POLY = Fraction(3, 4) * A1 * A1 * AB1 + Fraction(1, 6) * A2 * LAM + 2 * C
+_OPERAND_COEFFS = {a(1): Fraction(1, 3) * A2, a(2): AB1 * LAM * Fraction(5, 2), abar(1): 7 * C}
+
+
+def test_with_scalar_shares_the_prepared_parts():
+    base = Derivation(_OPERAND_COEFFS)
+    op = base.with_scalar(Fraction(2, 9) * LAM + A1)
+    assert op.parts is base.parts and op.fields == base.fields
+    assert base.scalar is None
+    with pytest.raises(ValueError):
+        op.with_scalar(LAM)
+
+
+def test_with_scalar_matches_a_freshly_prepared_operand():
+    base = Derivation(_OPERAND_COEFFS)
+    for scalar in (Fraction(2, 9) * LAM + A1, Fraction(1, 7) * C * AB1, ONE * Fraction(5, 11)):
+        got = _OPERAND_POLY.first_order(base.with_scalar(scalar))
+        assert got == _OPERAND_POLY.first_order(Derivation(_OPERAND_COEFFS).with_scalar(scalar))
+        assert got == _first_order_by_parts(_OPERAND_POLY, _OPERAND_COEFFS, scalar)
+
+
+def test_a_zero_or_absent_scalar_is_the_bare_derivation():
+    base = Derivation(_OPERAND_COEFFS)
+    bare = _OPERAND_POLY.first_order(base)
+    assert bare == _first_order_by_parts(_OPERAND_POLY, _OPERAND_COEFFS)
+    for scalar in (None, ZERO):
+        assert base.with_scalar(scalar) is base
+        assert _OPERAND_POLY.first_order(base.with_scalar(scalar)) == bare
 
 
 def test_apply_raises_past_the_exponent_field():
@@ -840,7 +870,7 @@ def _apply_unknown(unknowns, g, idc, state):
     out = {None: g * eps * state.poly + idc * state.poly}
     for uid, m, side, mono in unknowns:
         gen = a(m) if side == "a" else abar(m)
-        d = state.poly.derivative(gen)
+        d = partial_derivative(state.poly, gen)
         if not d.is_zero:
             out[uid] = out.get(uid, ZERO) + mono * d
     return out

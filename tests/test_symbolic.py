@@ -29,7 +29,7 @@ from loopcft.symbolic import (
     series_reversion,
 )
 from loopcft.symbolic.poly import MAX_EXPONENT, MAX_INDEX
-from oracles import from_canonical_text
+from oracles import from_canonical_text, partial_derivative
 
 A1 = CoeffPoly.generator(a(1))
 A2 = CoeffPoly.generator(a(2))
@@ -158,6 +158,30 @@ def test_kernel_matches_sympy_ring(p, q, gen, x, y):
     values = {gen: x, other: y}
     want = sp.subs([(gens[g], QQ(v.numerator, v.denominator)) for g, v in values.items()])
     assert _to_sympy(p.substitute(values), R, QQ, gens) == want
+
+
+# the sympy generators (lambda and c among them) and the last packed a and abar fields
+_derivative_generators = [*SYMPY_NAMES, a(MAX_INDEX), abar(MAX_INDEX)]
+
+
+@st.composite
+def top_polys(draw, max_terms=5):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        gens = draw(st.lists(st.sampled_from(_derivative_generators), max_size=3, unique=True))
+        mono = tuple(sorted((g.kind, g.index, draw(st.integers(1, 3))) for g in gens))
+        terms[mono] = draw(mixed_fractions_st)
+    return CoeffPoly(terms)
+
+
+# a generator past the packed range is in no polynomial, so its derivative is zero
+@given(top_polys(), st.sampled_from([*_derivative_generators, a(MAX_INDEX + 1)]))
+@settings(max_examples=150, deadline=None)
+def test_derivative_matches_the_term_by_term_oracle(p, gen):
+    want = partial_derivative(p, gen)
+    got = p.derivative(gen)
+    assert got == want
+    assert got.canonical_text() == want.canonical_text()
 
 
 @settings(max_examples=150, deadline=None)
