@@ -143,21 +143,18 @@ def _apply_mode_to_basis(n: int, parts: Parts) -> Terms:
     if n < 0 and (not parts or -n >= parts[-1]):
         return ((parts + (-n,), CoeffPoly.one()),)
     q, rest = parts[-1], parts[:-1]  # the word's leftmost operator is L_{-q}
-    out: dict[Parts, CoeffPoly] = {}
-    for head, coeff in _apply_mode_to_basis(n, rest):
-        _accumulate(out, _apply_mode_to_basis(-q, head), coeff)
-    _accumulate(out, _apply_mode_to_basis(n - q, rest), n + q)
+    # the rule's three summands, each a tuple of terms times a factor
+    pieces = [(_apply_mode_to_basis(-q, head), c) for head, c in _apply_mode_to_basis(n, rest)]
+    pieces.append((_apply_mode_to_basis(n - q, rest), CoeffPoly.constant(n + q)))
     if n == q:
-        _accumulate(out, ((rest, _C),), Fraction(1, 12) * cocycle(n, -n))
-    return tuple((k, v) for k, v in out.items() if not v.is_zero)
-
-
-def _accumulate(
-    out: dict[Parts, CoeffPoly], terms: Terms, factor: CoeffPoly | Fraction | int
-) -> None:
-    """Add ``factor`` times the terms into ``out``."""
-    for parts, coeff in terms:
-        out[parts] = out.get(parts, _ZERO) + coeff * factor
+        pieces.append((((rest, _C),), CoeffPoly.constant(Fraction(1, 12) * cocycle(n, -n))))
+    # each word's coefficient is one sum of products
+    pairs: dict[Parts, list[tuple[CoeffPoly, CoeffPoly]]] = {}
+    for terms, factor in pieces:
+        for word, coeff in terms:
+            pairs.setdefault(word, []).append((coeff, factor))
+    sums = ((word, CoeffPoly.sum_of_products(group)) for word, group in pairs.items())
+    return tuple((word, total) for word, total in sums if not total.is_zero)
 
 
 @lru_cache(maxsize=None)

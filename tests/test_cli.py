@@ -300,10 +300,19 @@ def test_grid_loewner_dt_is_accepted(runner, tmp_path):
         assert RunConfig.from_sources(None, {"loewner_dt": dt}).loewner_dt == dt
     result = runner.invoke(main, ["loewner-demo", "--dt", "1e-3", "--seeds", "2"])
     assert result.exit_code == 0
-    # dt = 0.5 tiles the horizon in two steps; the coarse grid fails its checks
+    # dt = 0.5 tiles the horizon in two steps, and the coarse grid passes its checks
     result = runner.invoke(main, ["loewner-demo", "--dt", "0.5", "--seeds", "2"])
-    assert result.exit_code == 1
-    assert _report(result)["overall"] == "fail"
+    assert result.exit_code == 0
+    assert _report(result)["overall"] == "pass"
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 10, 19, 20, 21])
+def test_coarse_loewner_grid_passes(runner, steps):
+    # a 10 sqrt(dt) swallow radius used to fail "zero driver forward map" at
+    # every 1/dt <= 20, where |g_1(3i)| = sqrt(5) lies inside it
+    result = runner.invoke(main, ["loewner-demo", "--dt", repr(1 / steps), "--seeds", "2"])
+    assert result.exit_code == 0, result.output
+    assert _report(result)["overall"] == "pass"
 
 
 @pytest.mark.parametrize("command", ["loewner-demo", "report-all"])
