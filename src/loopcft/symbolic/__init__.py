@@ -6,6 +6,7 @@ from .linalg import (
     kernel_basis,
     rank,
     rref,
+    symmetric_determinants,
 )
 from .partitions import Partition, partition_count, partition_parts, partitions_of
 from .poly import (
@@ -47,4 +48,5 @@ __all__ = [
     "kernel_basis",
     "invert",
     "determinant",
+    "symmetric_determinants",
 ]

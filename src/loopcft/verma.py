@@ -36,7 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from itertools import repeat
+from math import factorial, lcm, prod
+from operator import add, mul
 from typing import Sequence
 
 from .symbolic import (
@@ -45,11 +47,11 @@ from .symbolic import (
     CoeffPoly,
     LaurentSeries,
     Partition,
-    determinant,
     kernel_basis,
     partition_parts,
     partitions_of,
     rank as matrix_rank,
+    symmetric_determinants,
 )
 
 __all__ = [
@@ -268,36 +270,45 @@ def kac_determinant_at(level: int, charge: Fraction | int) -> CoeffPoly:
     ``kac_determinant(level).substitute({CC: charge})``, found by exact
     evaluation and interpolation:
 
-    1. substitute the charge into :func:`gram_matrix` and clear each row's
-       denominators, so every entry is an integer polynomial in lambda;
+    1. substitute the charge into the upper triangle of :func:`gram_matrix`
+       and scale entry (i, j) by d_i d_j, where d_i clears the denominators
+       of row i, so the matrix stays symmetric and every entry is an integer
+       polynomial in lambda;
     2. bound the degree by D = the sum over rows of the largest lambda-degree
        in the row (the Leibniz bound, read off the matrix and not from Kac's
        product formula, so the product-formula tests stay independent);
-    3. evaluate the entries at lambda = 0..D by Horner over ints and take
-       each determinant by fraction-free Bareiss (:func:`determinant`);
+    3. evaluate every upper entry at lambda = 0..D in one Horner pass over
+       the nodes and take the D + 1 determinants in one lockstep Bareiss
+       elimination (:func:`symmetric_determinants`);
     4. interpolate through the D + 1 values (Newton's forward differences)
-       and divide by the product of the row scales.
+       and divide by D! and the squared row scales.
 
-    The cost is D + 1 integer determinants of size p(N), with no memo over
-    column subsets; the README gives measured timings per level.
+    The cost is one elimination of size p(N) whose every step is a vector
+    operation over the D + 1 nodes, with no memo over column subsets; the
+    README gives measured timings per level.
     """
     assignment = {CC: charge}
-    rows: list[list[list[int]]] = []
-    scale = 1
-    degree = 0
-    for row in gram_matrix(level):
-        entries = [_lambda_coefficients(entry.substitute(assignment)) for entry in row]
-        den = lcm(*(c.denominator for coeffs in entries for c in coeffs))
-        rows.append(
-            [[c.numerator * (den // c.denominator) for c in coeffs] for coeffs in entries]
-        )
-        scale *= den
-        degree += max(len(coeffs) for coeffs in entries) - 1
-    values = [
-        determinant([[_horner(coeffs, x) for coeffs in row] for row in rows]).numerator
-        for x in range(degree + 1)
+    upper = [
+        [_lambda_coefficients(poly.substitute(assignment)) for poly in row[i:]]
+        for i, row in enumerate(gram_matrix(level))
     ]
-    divisor = factorial(degree) * scale
+    size = len(upper)
+
+    def entry(i: int, j: int) -> list[Fraction]:
+        return upper[min(i, j)][abs(j - i)]
+
+    degree = sum(max(len(entry(i, j)) for j in range(size)) - 1 for i in range(size))
+    dens = [lcm(*(c.denominator for j in range(size) for c in entry(i, j))) for i in range(size)]
+    nodes = range(degree + 1)
+    at_nodes = [
+        [
+            _horner_at([c.numerator * (dens[i] // c.denominator) * dens[j] for c in cs], nodes)
+            for j, cs in enumerate(row, i)
+        ]
+        for i, row in enumerate(upper)
+    ]
+    values = symmetric_determinants(at_nodes, len(nodes))
+    divisor = factorial(degree) * prod(dens) ** 2
     return CoeffPoly(
         {
             ((LAMBDA.kind, LAMBDA.index, e),) if e else (): Fraction(c, divisor)
@@ -315,11 +326,12 @@ def _lambda_coefficients(poly: CoeffPoly) -> list[Fraction]:
     return [coeffs.get(e, Fraction(0)) for e in range(max(coeffs, default=-1) + 1)]
 
 
-def _horner(coeffs: list[int], x: int) -> int:
-    value = 0
+def _horner_at(coeffs: list[int], nodes: range) -> list[int]:
+    """The integer polynomial ``coeffs`` (lowest degree first) at every node."""
+    values = [0] * len(nodes)
     for c in reversed(coeffs):
-        value = value * x + c
-    return value
+        values = list(map(add, map(mul, values, nodes), repeat(c)))
+    return values
 
 
 def _interpolate(values: list[int]) -> list[int]:

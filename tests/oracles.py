@@ -9,6 +9,10 @@ by a route that the product path does not take:
 * :func:`level_rank` is the rank of the geometric lowered states at a pure
   left level, specialized exactly (oracle for
   :func:`loopcft.verma.gram_rank_at`);
+* :func:`kac_determinant_per_node` takes one row-pivoting Bareiss
+  determinant per interpolation node, on row-scaled integer matrices
+  (oracle for the lockstep elimination and the symmetric scaling of
+  :func:`loopcft.verma.kac_determinant_at`);
 * :func:`normal_order` straightens a whole word against the Virasoro
   relation (oracle for the first-mode recursion of
   :func:`loopcft.verma.gram_entry`), with :func:`vacuum`,
@@ -30,6 +34,7 @@ import mode puts this directory on ``sys.path``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Iterator, Mapping, Sequence
 
 from loopcft import verma
@@ -50,6 +55,7 @@ from loopcft.symbolic import (
     Partition,
     a,
     abar,
+    determinant,
     partition_parts,
     partitions_of,
     rank as matrix_rank,
@@ -107,6 +113,46 @@ def level_rank(
 # ---------------------------------------------------------------------------
 # abstract Verma module
 # ---------------------------------------------------------------------------
+
+
+def kac_determinant_per_node(level: int, charge: Fraction | int) -> CoeffPoly:
+    """Determinant of the level Gram matrix at ``charge``, one node at a time.
+
+    Each row is scaled to integers by its own denominators, and the
+    determinant at lambda = 0..D is one :func:`determinant` per node; the
+    Newton interpolation is :func:`loopcft.verma._interpolate`.
+    """
+    assignment = {CC: charge}
+    rows: list[list[list[int]]] = []
+    scale = 1
+    degree = 0
+    for row in verma.gram_matrix(level):
+        entries = [verma._lambda_coefficients(entry.substitute(assignment)) for entry in row]
+        den = lcm(*(c.denominator for coeffs in entries for c in coeffs))
+        rows.append(
+            [[c.numerator * (den // c.denominator) for c in coeffs] for coeffs in entries]
+        )
+        scale *= den
+        degree += max(len(coeffs) for coeffs in entries) - 1
+    values = [
+        determinant([[_horner(coeffs, x) for coeffs in row] for row in rows]).numerator
+        for x in range(degree + 1)
+    ]
+    divisor = factorial(degree) * scale
+    return CoeffPoly(
+        {
+            ((LAMBDA.kind, LAMBDA.index, e),) if e else (): Fraction(c, divisor)
+            for e, c in enumerate(verma._interpolate(values))
+            if c
+        }
+    )
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
 Parts = tuple[int, ...]

@@ -353,7 +353,7 @@ def test_report_all_rejects_kappa_before_any_suite(runner, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["kac", "--level", "10"], "kac suite needs level <= 9, got 10"),
+        (["kac", "--level", "11"], "kac suite needs level <= 10, got 11"),
         (["gram", "--level", "12"], "gram suite needs level <= 11, got 12"),
         (["verify-commutators", "--max-mode", "9", "--max-degree", "0"],
          "verify-commutators suite needs max_mode <= 8, got 9"),
@@ -364,7 +364,7 @@ def test_report_all_rejects_kappa_before_any_suite(runner, monkeypatch):
         (["operators", "--max-mode", "16", "--max-degree", "13"],
          "operators suite needs max_mode + max_degree <= 28, got 29"),
         (["--config", {"level": 29}, "operators"], "operators suite needs level <= 28, got 29"),
-        (["report-all", "--level", "10"], "kac suite needs level <= 9, got 10"),
+        (["report-all", "--level", "10"], "report-all suite needs level <= 9, got 10"),
         (["report-all", "--max-mode", "9"], "verify-commutators suite needs max_mode <= 8, got 9"),
     ],
     ids=[
@@ -399,10 +399,11 @@ def test_ci_and_benchmark_configs_are_inside_the_caps():
         ("operators", RunConfig(max_mode=11, max_degree=0)),
         ("operators", RunConfig(max_mode=12, max_degree=4)),
         ("kac", RunConfig(level=6)),
+        ("kac", RunConfig(level=10)),
     ]:
         _check_caps(cfg, suite)
     # report-all checks every cap: the benchmark config, and the corner where
-    # kac's level cap and both verify-commutators caps are reached together
+    # its own level cap and both verify-commutators caps are reached together
     for cfg in (RunConfig(level=5, max_mode=4), RunConfig(level=9, max_mode=8, max_degree=11)):
         for suite in _CAPS:
             _check_caps(cfg, suite)

@@ -27,6 +27,7 @@ from loopcft.symbolic import (
     rank,
     schwarzian,
     series_reversion,
+    symmetric_determinants,
 )
 from loopcft.symbolic.poly import MAX_EXPONENT, MAX_INDEX
 from oracles import from_canonical_text, partial_derivative
@@ -1029,3 +1030,59 @@ def test_fraction_free_determinant_edge_cases():
     assert determinant([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 7]]) == Fraction(103, 30)
     with pytest.raises(ValueError):
         determinant([[1, 2]])
+
+
+_LOCKSTEP_SHAPES = ["plain", "zero pivot at step 0", "zero pivot at step 1", "singular"]
+
+
+@st.composite
+def lockstep_matrices(draw):
+    """(upper, the matrix at each node) for symmetric integer matrices.
+
+    Node t is bent to the shape ``_LOCKSTEP_SHAPES[(t + shift) % 4]``, so
+    with two or more nodes some, but not all, leave the lockstep at a zero
+    pivot, at step 0 or at step 1, and with four or more one is singular.
+    """
+    n = draw(st.integers(0, 7))
+    nodes = draw(st.integers(1, 12))
+    shift = draw(st.integers(0, len(_LOCKSTEP_SHAPES) - 1))
+    small = st.integers(-6, 6)
+    matrices = []
+    for t in range(nodes):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = draw(small)
+        shape = _LOCKSTEP_SHAPES[(t + shift) % len(_LOCKSTEP_SHAPES)]
+        if n and shape == "zero pivot at step 0":
+            m[0][0] = 0
+        elif n >= 2 and shape == "zero pivot at step 1":
+            # a rank-one leading 2 x 2 block: a nonzero first pivot, a zero second
+            u, v = draw(st.integers(1, 4)), draw(small)
+            m[0][0], m[0][1], m[1][0], m[1][1] = u * u, u * v, u * v, v * v
+        elif n >= 2 and shape == "singular":
+            # the last row and column repeat the first
+            for j in range(n - 1):
+                m[-1][j] = m[j][-1] = m[0][j]
+            m[-1][-1] = m[0][0]
+        matrices.append(m)
+    upper = [[[m[i][j] for m in matrices] for j in range(i, n)] for i in range(n)]
+    return upper, matrices
+
+
+@given(lockstep_matrices())
+@settings(max_examples=150)
+def test_symmetric_determinants_match_determinant_node_by_node(case):
+    upper, matrices = case
+    assert symmetric_determinants(upper, len(matrices)) == [determinant(m) for m in matrices]
+
+
+def test_symmetric_determinants_edge_cases():
+    assert symmetric_determinants([], 3) == [1, 1, 1]
+    assert symmetric_determinants([[[5, 0, -2]]], 3) == [5, 0, -2]
+    # two nodes of [[a, b], [b, d]]: one regular, one with a zero first pivot
+    assert symmetric_determinants([[[2, 0], [3, 1]], [[7, 4]]], 2) == [5, -1]
+    with pytest.raises(ValueError):
+        symmetric_determinants([[[1], [2]]], 1)
+    with pytest.raises(ValueError):
+        symmetric_determinants([[[1, 2]]], 1)

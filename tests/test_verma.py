@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopcft import verma
-from loopcft.symbolic import CC, LAMBDA, CoeffPoly, partition_count, partitions_of
+from loopcft.symbolic import CC, LAMBDA, CoeffPoly, linalg, partition_count, partitions_of
 from loopcft.verma import (
     central_charge,
     cocycle,
@@ -23,7 +23,14 @@ from loopcft.verma import (
     raising_word,
     singular_vectors,
 )
-from oracles import VermaVector, apply_mode, basis_vector, normal_order, vacuum
+from oracles import (
+    VermaVector,
+    apply_mode,
+    basis_vector,
+    kac_determinant_per_node,
+    normal_order,
+    vacuum,
+)
 
 LAM = CoeffPoly.generator(LAMBDA)
 C = CoeffPoly.generator(CC)
@@ -252,6 +259,34 @@ def test_kac_determinant_at_matches_symbolic_route_at_any_charge(level, charge):
     fast = kac_determinant_at(level, charge)
     oracle = kac_determinant(level).substitute({CC: charge})
     assert fast.canonical_text() == oracle.canonical_text()
+
+
+PER_NODE_CASES = [
+    (kappa, level)
+    for kappa in [Fraction(3), Fraction(2), Fraction(8, 3), Fraction(4), Fraction(29, 11)]
+    for level in range(8)
+] + [(Fraction(8, 3), 8)]
+
+
+def test_kac_determinant_at_matches_per_node_oracle(monkeypatch):
+    """The lockstep elimination and its symmetric scaling give the per-node
+    result, and the zero-pivot exit to :func:`determinant` runs both at the
+    first step and later, where Sylvester's identity divides the minors."""
+    handed_over = []
+    determinant = linalg.determinant
+
+    def counting(matrix):
+        handed_over.append((level, len(matrix)))
+        return determinant(matrix)
+
+    monkeypatch.setattr(linalg, "determinant", counting)
+    for kappa, level in PER_NODE_CASES:
+        charge = central_charge(kappa)
+        fast = kac_determinant_at(level, charge)
+        oracle = kac_determinant_per_node(level, charge)
+        assert fast.canonical_text() == oracle.canonical_text(), (kappa, level)
+    assert any(size == partition_count(n) for n, size in handed_over)
+    assert any(size < partition_count(n) for n, size in handed_over)
 
 
 def test_kac_table_is_the_brute_force_index_set():
