@@ -88,9 +88,9 @@ __all__ = [
     "commutator_defect",
     "vacuum_state",
     "fresh_state",
+    "coefficient_state",
     "psi_state",
     "geometric_pairing",
-    "duality_pairing",
     "state_family_residuals",
 ]
 
@@ -569,21 +569,13 @@ def _apply_word(
     return state
 
 
-def _vacuum_coefficient(state: StatePoly) -> CoeffPoly:
-    """The scalar in front of the vacuum of a state that must lie on its line."""
-    if state.is_zero:
-        return _ZERO
-    if state.level != (0, 0) or state.poly.max_coefficient_index() > 0:
-        raise AssertionError(f"pairing did not land on the vacuum line: {state!r}")
-    return state.poly
-
-
-def _coefficient_monomial(k: Partition | Sequence[int]) -> CoeffPoly:
-    """The monomial a_{k_1} ... a_{k_j} of a partition."""
+def coefficient_state(k: Partition | Sequence[int]) -> StatePoly:
+    """The monomial a_{k_1} ... a_{k_j} of a partition, a state at bi-level (|k|, 0)."""
+    parts = partition_parts(k)
     mono = _ONE
-    for p in partition_parts(k):
+    for p in parts:
         mono = mono * CoeffPoly.generator(gen_a(p))
-    return mono
+    return StatePoly(mono, (sum(parts), 0))
 
 
 def psi_state(
@@ -597,25 +589,21 @@ def psi_state(
 
 
 def geometric_pairing(
-    k: Partition | Sequence[int],
-    kprime: Partition | Sequence[int],
-    table: OperatorTable,
+    k: Partition | Sequence[int], state: StatePoly, table: OperatorTable
 ) -> CoeffPoly:
-    """<k | k'> computed entirely inside the geometric realization.
+    """<k | state> computed entirely inside the geometric realization.
 
-    Lower by k', then raise by k; the result must land on the vacuum line
-    and the scalar in front is returned (a polynomial in weight and charge).
-    Entries across levels are zero.
+    Raise the state by the raising word of k; the result must land on the
+    vacuum line and the scalar in front is returned (a polynomial in weight
+    and charge).  The zero state and a state off left level (|k|, 0) pair
+    to zero.
     """
-    if sum(partition_parts(k)) != sum(partition_parts(kprime)):
+    if state.level != (sum(partition_parts(k)), 0):
         return _ZERO
-    return _vacuum_coefficient(_apply_word(raising_word(k), psi_state(kprime, (), table), table))
-
-
-def duality_pairing(k: Partition | Sequence[int], table: OperatorTable) -> CoeffPoly:
-    """Raising word of k applied to the coefficient monomial of k."""
-    state = fresh_state(_coefficient_monomial(k))
-    return _vacuum_coefficient(_apply_word(raising_word(k), state, table))
+    raised = _apply_word(raising_word(k), state, table)
+    if not raised.is_zero and (raised.level != (0, 0) or raised.poly.max_coefficient_index() > 0):
+        raise AssertionError(f"pairing did not land on the vacuum line: {raised!r}")
+    return raised.poly
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ from . import spectral
 from .operators import (
     ModeOperator,
     OperatorTable,
+    coefficient_state,
     commutator_defect,
-    duality_pairing,
     geometric_pairing,
+    psi_state,
     state_family_residuals,
-    vacuum_state,
     varpi,
     vartheta,
 )
@@ -289,7 +289,7 @@ def _off_kac_weight(cfg: RunConfig) -> Fraction:
 
 
 # The largest value of each knob a suite accepts.  Runs at the caps took at
-# most about 9 s, and runs one step past them 9 to 49 s (subprocess wall
+# most about 10 s, and runs one step past them 9 to 49 s (subprocess wall
 # time on a 2-vCPU x86-64 VM, Python 3.11; the README lists the grid).
 # Operators' level cap keeps its window, max(max_mode + max_degree, level,
 # 8), within the measured 28.  report-all checks every cap here, and its own
@@ -297,7 +297,7 @@ def _off_kac_weight(cfg: RunConfig) -> Fraction:
 # at level 9: at level 10 kac alone takes about 7 s.
 _CAPS = {
     "verify-commutators": {"max_mode": 8, "max_mode + max_degree": 19},
-    "gram": {"level": 11},
+    "gram": {"level": 12},
     "kac": {"level": 10},
     "operators": {"max_mode": 16, "max_mode + max_degree": 28, "level": 28},
     "report-all": {"level": 9},
@@ -378,9 +378,10 @@ def suite_gram(cfg: RunConfig, table: OperatorTable | None = None) -> Report:
 
     def level_match(n: int) -> tuple[bool, str]:
         parts_list = partitions_of(n)
+        states = [psi_state(kp.parts, (), table) for kp in parts_list]
         for k in parts_list:
-            for kp in parts_list:
-                got = geometric_pairing(k.parts, kp.parts, table)
+            for kp, state in zip(parts_list, states):
+                got = geometric_pairing(k.parts, state, table)
                 want = gram_entry(k.parts, kp.parts)
                 if got != want:
                     return False, f"mismatch at <{k.parts}|{kp.parts}>"
@@ -477,11 +478,8 @@ def suite_singular(cfg: RunConfig, table: OperatorTable | None = None) -> Report
     charge = central_charge(cfg.kappa)
 
     def level_two_family(r: int, s: int) -> tuple[bool, str]:
-        v = vacuum_state()
-        quad = table.L(-1).apply(table.L(-1).apply(v))
-        combo = quad - table.L(-2).apply(v).scale(
-            Fraction(2, 3) * (2 * _LAM + 1)
-        )
+        quad = psi_state((1, 1), (), table)
+        combo = quad - psi_state((2,), (), table).scale(Fraction(2, 3) * (2 * _LAM + 1))
         residuals = state_family_residuals(combo.poly, r, s)
         if residuals:
             return False, f"{len(residuals)} residual monomials survive"
@@ -558,7 +556,7 @@ def suite_operators(cfg: RunConfig, table: OperatorTable | None = None) -> Repor
         cap = max(cfg.level, 2)
         for n in range(1, cap + 1):
             for part in partitions_of(n):
-                got = duality_pairing(part.parts, table)
+                got = geometric_pairing(part, coefficient_state(part), table)
                 expect = Fraction(1)
                 for value in set(part.parts):
                     mult = part.parts.count(value)

@@ -42,8 +42,8 @@ from loopcft.operators import (
     ModeOperator,
     OperatorTable,
     OperatorWindowError,
-    _coefficient_monomial,
     build_mode_operator,
+    coefficient_state,
     commutator_parts,
     psi_state,
 )
@@ -98,7 +98,7 @@ def level_rank(
         return 1
     assignment = {LAMBDA: Fraction(weight), CC: Fraction(charge)}
     basis = partitions_of(level)
-    monomials = [next(iter(_coefficient_monomial(p).terms()))[0] for p in basis]
+    monomials = [next(iter(coefficient_state(p).poly.terms()))[0] for p in basis]
     index = {mono: i for i, mono in enumerate(monomials)}
     rows = []
     for p in basis:

@@ -15,9 +15,10 @@ import pytest
 from loopcft import loewner, spectral
 from loopcft.operators import (
     OperatorTable,
+    coefficient_state,
     commutator_defect,
-    duality_pairing,
     geometric_pairing,
+    psi_state,
     state_family_residuals,
     vacuum_state,
 )
@@ -148,7 +149,7 @@ def test_criterion_05_gram_cross_oracle(table):
     for level in range(6):
         for k in partitions_of(level):
             for kp in partitions_of(level):
-                got = geometric_pairing(k.parts, kp.parts, table)
+                got = geometric_pairing(k.parts, psi_state(kp.parts, (), table), table)
                 want = gram_entry(k.parts, kp.parts)
                 assert got == want, (k.parts, kp.parts)
                 pairs += 1
@@ -161,7 +162,7 @@ def test_criterion_06_coefficient_duality(table):
     count = 0
     for level in range(1, 6):
         for k in partitions_of(level):
-            got = duality_pairing(k.parts, table)
+            got = geometric_pairing(k.parts, coefficient_state(k.parts), table)
             expect = Fraction(1)
             for value in set(k.parts):
                 mult = k.parts.count(value)

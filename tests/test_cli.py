@@ -2,6 +2,7 @@
 loads."""
 
 import ast
+import hashlib
 import importlib
 import json
 import logging
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import loopcft
 from loopcft.cli import main
-from loopcft.reports import RunConfig, parse_rational
+from loopcft.reports import RunConfig, parse_rational, report_all, suite_kac
 
 
 @pytest.fixture()
@@ -242,6 +243,32 @@ def test_params_echo_every_knob_and_the_pinned_tolerances():
     }
 
 
+def _without_timing(value):
+    if isinstance(value, dict):
+        return {k: _without_timing(v) for k, v in value.items() if k != "timing"}
+    if isinstance(value, list):
+        return [_without_timing(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "run, workload, sample",
+    [
+        (lambda: report_all(RunConfig(level=5, max_mode=4, seed=0)), "report-all", "seed=0"),
+        (lambda: suite_kac(RunConfig(level=6, kappa=Fraction(3))), "kac", "kappa=3/1"),
+    ],
+    ids=["report-all", "kac"],
+)
+def test_reports_match_the_benchmark_digests(run, workload, sample):
+    # the digest perfbench/run.py certifies (SHA-256 of the report without its
+    # timings), so a report whose bytes drift fails tier-1, not only the benchmark
+    doc = _without_timing(json.loads(run().to_json()))
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    recorded = json.loads(digests.read_text())
+    assert digest == recorded[workload][sample]["digests"]["report"]
+
+
 @pytest.mark.parametrize(
     "text, knob",
     [
@@ -354,7 +381,7 @@ def test_report_all_rejects_kappa_before_any_suite(runner, monkeypatch):
     "argv, message",
     [
         (["kac", "--level", "11"], "kac suite needs level <= 10, got 11"),
-        (["gram", "--level", "12"], "gram suite needs level <= 11, got 12"),
+        (["gram", "--level", "13"], "gram suite needs level <= 12, got 13"),
         (["verify-commutators", "--max-mode", "9", "--max-degree", "0"],
          "verify-commutators suite needs max_mode <= 8, got 9"),
         (["verify-commutators", "--max-mode", "8", "--max-degree", "12"],
@@ -400,6 +427,7 @@ def test_ci_and_benchmark_configs_are_inside_the_caps():
         ("operators", RunConfig(max_mode=12, max_degree=4)),
         ("kac", RunConfig(level=6)),
         ("kac", RunConfig(level=10)),
+        ("gram", RunConfig(level=12)),
     ]:
         _check_caps(cfg, suite)
     # report-all checks every cap: the benchmark config, and the corner where

@@ -22,9 +22,9 @@ from loopcft.operators import (
     OperatorWindowError,
     StatePoly,
     build_mode_operator,
+    coefficient_state,
     commutator_defect,
     commutator_parts,
-    duality_pairing,
     fresh_state,
     geometric_pairing,
     psi_state,
@@ -691,10 +691,14 @@ def test_degree_structure(table):
 # ---------------------------------------------------------------------------
 
 
+def _duality(parts, table):
+    return geometric_pairing(parts, coefficient_state(parts), table)
+
+
 def test_duality_pairing(table):
-    assert duality_pairing((1,), table) == CoeffPoly.constant(-1)
-    assert duality_pairing((1, 1), table) == CoeffPoly.constant(2)
-    assert duality_pairing((3,), table) == CoeffPoly.constant(-1)
+    assert _duality((1,), table) == CoeffPoly.constant(-1)
+    assert _duality((1, 1), table) == CoeffPoly.constant(2)
+    assert _duality((3,), table) == CoeffPoly.constant(-1)
     for parts in [(1, 2), (1, 1, 1), (2, 2), (1, 3)]:
         expect = Fraction(1)
         for part in set(parts):
@@ -704,19 +708,53 @@ def test_duality_pairing(table):
             for i in range(2, mult + 1):
                 fact *= i
             expect *= sign * fact
-        assert duality_pairing(parts, table) == CoeffPoly.constant(expect), parts
+        assert _duality(parts, table) == CoeffPoly.constant(expect), parts
 
 
 def test_geometric_pairing_matches_abstract_gram(table):
     for n in range(4):
         for k in partitions_of(n):
             for kp in partitions_of(n):
-                geo = geometric_pairing(k, kp, table)
+                geo = geometric_pairing(k, psi_state(kp, (), table), table)
                 assert geo == gram_entry(k.parts, kp.parts), (k, kp)
 
 
 def test_geometric_pairing_vanishes_across_levels(table):
-    assert geometric_pairing((1,), (2,), table) == ZERO
+    assert geometric_pairing((1,), psi_state((2,), (), table), table) == ZERO
+    assert geometric_pairing((1,), StatePoly(ZERO, None), table) == ZERO
+    assert geometric_pairing((), StatePoly(ZERO, None), table) == ZERO
+    # a barred lowering moves the state off right level 0
+    assert geometric_pairing((1,), psi_state((1,), (1,), table), table) == ZERO
+    assert geometric_pairing((2,), psi_state((1,), (), table), table) == ZERO
+
+
+def test_geometric_pairing_refuses_a_state_off_the_vacuum_line(table):
+    # a_1 * a_1 tagged one level low: L(1) leaves a_1 terms behind
+    with pytest.raises(AssertionError, match="pairing did not land on the vacuum line"):
+        geometric_pairing((1,), StatePoly(A1 * A1, (1, 0)), table)
+
+
+def test_coefficient_state_matches_fresh_state():
+    for n in range(7):
+        for k in partitions_of(n):
+            mono = ONE
+            for part in k.parts:
+                mono = mono * CoeffPoly.generator(a(part))
+            assert coefficient_state(k) == fresh_state(mono), k
+
+
+def test_gram_suite_lowers_each_basis_state_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return psi_state(*args)
+
+    monkeypatch.setattr(reports, "psi_state", counting)
+    report = suite_gram(RunConfig(level=6))
+    assert report.overall == "pass"
+    assert len(calls) == sum(len(partitions_of(n)) for n in range(7)) == 30
+    assert len(set(calls)) == len(calls)
 
 
 def test_level_ranks(table):

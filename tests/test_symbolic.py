@@ -697,12 +697,8 @@ _ONE_SERIES = LaurentSeries.monomial(0, 1, None)
 
 @pytest.mark.parametrize("order", range(6, 19))
 def test_fused_powers_of_the_coefficient_map_match_the_old_loops(order):
-    # __pow__ calls neither patched method: hold F**k against sequential products
+    # F**k calls neither patched method; the Miller tests hold it against sequential products
     F = _coefficient_map(order)
-    got = [_series_text(F**k) for k in range(-8, 9)]
-    negative = _sequential_negative_powers(F, 8)[::-1]
-    positive = _sequential_positive_powers(F, 8)
-    assert got == [_series_text(p) for p in negative + [_ONE_SERIES] + positive]
     assert _series_text(F.inverse()) == _with_old_loops(lambda: _series_text(F.inverse()))
     Fp = F.derivative()
     assert _series_text(Fp * Fp.inverse()) == _with_old_loops(lambda: _series_text(Fp * Fp.inverse()))
