@@ -9,7 +9,6 @@ Run:  python3 demos/bubble_gallery.py [--csv scan.csv]
 """
 
 import argparse
-import cmath
 import math
 
 from loopcft import spectral
@@ -31,10 +30,7 @@ def act_two() -> None:
     print(f"  target U({q}) = {want:.12f}")
     print(f"  {'gap':>10}  {'pi (H_disc - H_annulus)':>24}  {'rel err':>10}")
     for gap in (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3):
-        diff = math.pi * (
-            spectral.poisson_disc(1.0 + 0j, cmath.exp(1j * gap))
-            - spectral.poisson_annulus(q, 0.0, gap)
-        )
+        diff = spectral.bubble_mass_limit(spectral.mobius_annulus(0.0, q), 0.0, gap)
         print(f"  {gap:>10.0e}  {diff:>24.12f}  {abs(diff - want) / want:>10.2e}")
     print()
 

@@ -39,8 +39,9 @@ defect from its algebra value (:func:`commutator_defect`) are all of
 that type, compared with ``==`` and tested with ``is_zero``.  Every
 component x of a bracket (``d_a[m]``, ``d_abar[m]``, Euler, identity) is
 ``u(t_x) - t(u_x) + n_u e_t u_x - n_t e_u t_x``, with ``u(.)`` the
-derivation part of u and ``e_u`` its Euler coefficient: two
-:meth:`ModeOperator.derive` calls, each with its Euler term as the scalar.
+derivation part of u and ``e_u`` its Euler coefficient.  Each side is one
+kernel operand, prepared once per bracket with its Euler term as the
+scalar, that every component hands to the action routine ``apply`` uses.
 
 :func:`build_mode_operator`, the one construction, builds the L family;
 an L-bar operator is only ever the mirror of L(n).  The tests hold the
@@ -216,21 +217,13 @@ class ModeOperator:
         return not self.d_a and not self.d_abar and self.e_coeff.is_zero and self.id_coeff.is_zero
 
     def _act(self, poly: CoeffPoly, op: Derivation) -> CoeffPoly:
-        """The kernel operand ``op`` on a polynomial inside the window."""
+        """Every mode action: the kernel operand ``op`` on a polynomial inside the window."""
         if poly.max_coefficient_index() > self.max_index:
             raise OperatorWindowError(
                 f"input reaches index {poly.max_coefficient_index()} but mode "
                 f"{self.mode} operator only covers indices up to {self.max_index}"
             )
         return poly.first_order(op)
-
-    def derive(self, poly: CoeffPoly, scalar: CoeffPoly | None = None) -> CoeffPoly:
-        """The derivation part sum_g d_g * d/dg, plus ``scalar * poly``, on a polynomial.
-
-        One pass of :meth:`CoeffPoly.first_order`: no per-generator
-        temporaries, one reduction of the result.
-        """
-        return self._act(poly, self._derivation.with_scalar(scalar))
 
     def apply(self, state: StatePoly) -> StatePoly:
         """The whole operator on a state, derivation and scalar part in one pass.
@@ -455,13 +448,14 @@ def commutator_parts(u: ModeOperator, t: ModeOperator) -> ModeOperator:
     if window < 1:
         raise OperatorWindowError("operators too narrow to bracket")
     nu, nt = u.mode, t.mode
-    # each side is one first-order pass with its Euler term as the scalar
-    u_scalar, t_scalar = u.e_coeff * -nt, t.e_coeff * -nu
+    # each side is one kernel operand with its Euler term as the scalar
+    u_op = u._derivation.with_scalar(u.e_coeff * -nt)
+    t_op = t._derivation.with_scalar(t.e_coeff * -nu)
 
     def part(u_x: CoeffPoly, t_x: CoeffPoly) -> CoeffPoly:
-        out = u.derive(t_x, u_scalar) if not t_x.is_zero else _ZERO
+        out = u._act(t_x, u_op) if not t_x.is_zero else _ZERO
         if not u_x.is_zero:
-            out = out - t.derive(u_x, t_scalar)
+            out = out - t._act(u_x, t_op)
         return out
 
     indices = range(1, window + 1)

@@ -9,7 +9,6 @@ wall-clock seconds and is excluded from any determinism guarantee.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import time
@@ -617,10 +616,7 @@ def suite_bubble(cfg: RunConfig, csv_path: str | Path | None = None) -> Report:
 
     def centered_limit() -> tuple[bool, str]:
         q, gap = 0.3, 1e-3
-        diff = math.pi * (
-            spectral.poisson_disc(1.0 + 0j, cmath.exp(1j * gap))
-            - spectral.poisson_annulus(q, 0.0, gap)
-        )
+        diff = spectral.bubble_mass_limit(spectral.mobius_annulus(0.0, q), 0.0, gap)
         want = spectral.U_of_q(q)
         rel = abs(diff - want) / want
         ok = rel <= _TOLERANCES["tol_bubble"]

@@ -162,8 +162,13 @@ def _first_order_by_parts(poly, coeffs, scalar=None):
     return out
 
 
+def _derive(op: ModeOperator, poly: CoeffPoly) -> CoeffPoly:
+    """The derivation part of ``op`` on a polynomial, through the one action routine."""
+    return op._act(poly, op._derivation)
+
+
 def _derive_by_parts(op: ModeOperator, poly: CoeffPoly, scalar=None) -> CoeffPoly:
-    """Oracle for ``op.derive`` (plus ``scalar * poly``), refusing what lies past the window."""
+    """Oracle for :func:`_derive` (plus ``scalar * poly``), refusing what lies past the window."""
     if poly.max_coefficient_index() > op.max_index:
         raise OperatorWindowError(
             f"input reaches index {poly.max_coefficient_index()} but mode "
@@ -201,7 +206,7 @@ def test_derive_and_apply_match_the_term_union_reference(table):
         op = table.L(n)
         for poly in states + mixed:
             want = _derive_by_parts(op, poly)
-            assert op.derive(poly).canonical_text() == want.canonical_text(), (n, poly)
+            assert _derive(op, poly).canonical_text() == want.canonical_text(), (n, poly)
             state = fresh_state(poly)
             left, right = state.level
             want = want + op.e_coeff * (2 * LAM + (left + right)) * poly + op.id_coeff * poly
@@ -266,28 +271,62 @@ def test_apply_matches_the_per_generator_loop_on_polynomial_states():
                 got = _outcome(ModeOperator.apply, op, state)
                 assert got == _outcome(_apply_by_parts, op, state), (op, state)
                 if not state.is_zero:
-                    assert op.derive(state.poly) == _derive_by_parts(op, state.poly)
+                    assert _derive(op, state.poly) == _derive_by_parts(op, state.poly)
     assert table.L(-1).apply(StatePoly(ZERO, None)).is_zero
-    assert table.L(-1).derive(ZERO).is_zero
+    assert _derive(table.L(-1), ZERO).is_zero
 
 
-def test_commutator_parts_match_the_per_generator_loop(monkeypatch):
-    table = _shared_table()
-    modes = [n for k in range(1, 5) for n in (k, -k)]
+def _bracket_by_parts(u: ModeOperator, t: ModeOperator) -> ModeOperator:
+    """Oracle for ``commutator_parts``: each component u(t_x) - t(u_x) with the Euler scalars."""
+    window = min(u.max_index - abs(t.mode), t.max_index - abs(u.mode))
+    u_scalar, t_scalar = u.e_coeff * -t.mode, t.e_coeff * -u.mode
+
+    def part(u_x: CoeffPoly, t_x: CoeffPoly) -> CoeffPoly:
+        return _derive_by_parts(u, t_x, u_scalar) - _derive_by_parts(t, u_x, t_scalar)
+
+    indices = range(1, window + 1)
+    return ModeOperator(
+        mode=u.mode + t.mode,
+        bar=u.bar,
+        max_index=window,
+        e_coeff=part(u.e_coeff, t.e_coeff),
+        id_coeff=part(u.id_coeff, t.id_coeff),
+        d_a={m: part(u.d_a.get(m, ZERO), t.d_a.get(m, ZERO)) for m in indices},
+        d_abar={m: part(u.d_abar.get(m, ZERO), t.d_abar.get(m, ZERO)) for m in indices},
+    )
+
+
+def _bracket_pairs(table: OperatorTable, modes) -> list[tuple[ModeOperator, ModeOperator]]:
+    """Same-family pairs L(n), L(m) with n != m, and every mixed pair L(n), Lbar(m)."""
     pairs = [(table.L(n), table.L(m)) for n in modes for m in modes if n != m]
-    pairs += [(table.L(n), table.Lbar(m)) for n in modes for m in modes]
+    return pairs + [(table.L(n), table.Lbar(m)) for n in modes for m in modes]
+
+
+def test_commutator_parts_match_the_per_generator_loop():
+    pairs = _bracket_pairs(_shared_table(), [n for k in range(1, 5) for n in (k, -k)])
     fast = [commutator_parts(u, t) for u, t in pairs]
-    monkeypatch.setattr(ModeOperator, "derive", _derive_by_parts)
-    slow = [commutator_parts(u, t) for u, t in pairs]
+    slow = [_bracket_by_parts(u, t) for u, t in pairs]
     assert fast == slow
+
+
+def test_commutator_parts_prepares_one_operand_per_side(monkeypatch):
+    """Every bracket component shares two kernel operands, one for each side."""
+    calls = []
+    with_scalar = Derivation.with_scalar
+    monkeypatch.setattr(
+        Derivation, "with_scalar", lambda op, scalar: calls.append(scalar) or with_scalar(op, scalar)
+    )
+    pairs = _bracket_pairs(_shared_table(), range(-4, 5))
+    for u, t in pairs:
+        calls.clear()
+        commutator_parts(u, t)
+        assert len(calls) == 2, (u.mode, t.mode, t.bar, len(calls))
+    assert len(pairs) == 153
 
 
 def test_commutator_parts_act_as_the_composition_difference():
     """[u, t] s == u(t(s)) - t(u(s)) for L(n) against L(m) and Lbar(m), |n|, |m| <= 3."""
-    table = _shared_table()
-    modes = range(-3, 4)
-    pairs = [(table.L(n), table.L(m)) for n in modes for m in modes if n != m]
-    pairs += [(table.L(n), table.Lbar(m)) for n in modes for m in modes]
+    pairs = _bracket_pairs(_shared_table(), range(-3, 4))
     states = [
         fresh_state(mono)
         for total in range(5)
@@ -399,7 +438,7 @@ def test_apply_raises_past_the_exponent_field():
     with pytest.raises(OverflowError):
         square.apply(StatePoly(top, (MAX_EXPONENT, 0)))
     with pytest.raises(OverflowError):
-        square.derive(top)
+        _derive(square, top)
     # the Euler scalar 2*lambda + N pushes lambda^MAX past the field
     weight = CoeffPoly.generator(LAMBDA, MAX_EXPONENT) * A1
     with pytest.raises(OverflowError):
@@ -412,7 +451,7 @@ def test_apply_refuses_states_beyond_window():
     with pytest.raises(OperatorWindowError):
         op.apply(wide)
     with pytest.raises(OperatorWindowError):
-        op.derive(wide.poly)
+        _derive(op, wide.poly)
 
 
 def _window_message(op, index):
@@ -433,20 +472,20 @@ def test_apply_and_derive_accept_exactly_the_window(window):
             top = CoeffPoly.generator(gen(window))
             inside = StatePoly(top * top + top * scalars, (2 * window, 0) if gen is a else (0, 2 * window))
             op.apply(inside)
-            op.derive(inside.poly)
+            _derive(op, inside.poly)
             beyond = CoeffPoly.generator(gen(window + 1)) * top
             state = StatePoly(beyond, (2 * window + 1, 0) if gen is a else (0, 2 * window + 1))
             message = re.escape(_window_message(op, window + 1))
             with pytest.raises(OperatorWindowError, match=message):
                 op.apply(state)
             with pytest.raises(OperatorWindowError, match=message):
-                op.derive(beyond)
+                _derive(op, beyond)
         # lambda and c sit below every index field
         for poly in (scalars, LAM**5 * C, ONE):
             state = StatePoly(poly, (0, 0))
             assert op.apply(state).poly == _apply_by_parts(op, state).poly
         for poly in (scalars, LAM**MAX_EXPONENT, C**MAX_EXPONENT, ONE):
-            assert op.derive(poly).is_zero
+            assert _derive(op, poly).is_zero
 
 
 def test_restricted_apply_matches_a_direct_build_inside_its_window():
@@ -458,7 +497,7 @@ def test_restricted_apply_matches_a_direct_build_inside_its_window():
                 for mono in _monomials_of_bidegree(left, total - left):
                     state = fresh_state(mono * (LAM + 1))
                     assert view.apply(state) == direct.apply(state), (narrow, mono)
-                    assert view.derive(mono) == direct.derive(mono), (narrow, mono)
+                    assert _derive(view, mono) == _derive(direct, mono), (narrow, mono)
         beyond = fresh_state(CoeffPoly.generator(abar(narrow + 1)))
         with pytest.raises(OperatorWindowError, match=re.escape(_window_message(view, narrow + 1))):
             view.apply(beyond)
@@ -482,7 +521,7 @@ def test_filled_caches_leave_operators_equal_to_fresh_builds():
         used = _family(build_mode_operator(n, max_index=5), bar)
         for state in (fresh_state(A1 * AB2), fresh_state(A3), vacuum_state()):
             used.apply(state)
-        used.derive(A2 * AB1)
+        _derive(used, A2 * AB1)
         assert {"_derivation", "_scalars"} <= vars(used).keys() and used._scalars
         fresh = _family(build_mode_operator(n, max_index=5), bar)
         assert used == fresh and fresh == used
@@ -1180,7 +1219,7 @@ def test_restricted_table_shares_builds_and_keeps_its_window(wide_table, monkeyp
     with pytest.raises(OperatorWindowError):
         narrow.L(-3).apply(beyond)
     with pytest.raises(OperatorWindowError):
-        narrow.Lbar(2).derive(CoeffPoly.generator(abar(5)))
+        _derive(narrow.Lbar(2), CoeffPoly.generator(abar(5)))
     assert not wide_table.L(-3).apply(beyond).is_zero
     with pytest.raises(OperatorWindowError):
         wide_table.restricted(13)
