@@ -333,7 +333,9 @@ def build_mode_operator(n: int, *, max_index: int) -> ModeOperator:
     ``q = -F**(n+1) / F'``.  It equals the inverse-map form
     -[w^(-n-2)] S(G) of :func:`vartheta` by the Schwarzian chain rule
     (S(G) o F) F'^2 = -S(F): substituting w = F(z) turns
-    res_w[S(G) w^(n+1)] into res_z[S(F) q].  No series reversion is needed.
+    res_w[S(G) w^(n+1)] into res_z[S(F) q].  No series reversion is needed,
+    and since S(F) is regular the residue is one sum of products,
+    theta_n = -sum_{i=n+1..-1} q_i [z^(-1-i)] S(F).
 
     With gamma = [z^1] q / 2, d_a[m] and d_abar[m] are the z^(m+1)
     coefficients of the interior motion (q_high - gamma (F/F' - z)) F' and
@@ -368,8 +370,10 @@ def build_mode_operator(n: int, *, max_index: int) -> ModeOperator:
         q = -(power.truncate(2) * head.derivative().inverse())
         q_low = {i: q.coefficient(i) for i in range(n + 1, 2)}
         if n <= -2:
-            # only the z^-1 term of S(F) q is needed: S(F) through z^(-n-2), q through z^-1
-            theta = -(schwarzian(head) * q.truncate(0)).residue()
+            S = schwarzian(head)
+            theta = -CoeffPoly.sum_of_products(
+                (q_low[i], S.coefficient(-1 - i)) for i in range(n + 1, 0)
+            )
     gamma = q_low.get(1, _ZERO) * Fraction(1, 2)
 
     a = F.coeffs  # a[j] = [z^(j+1)] F = a_j, with a_0 = 1

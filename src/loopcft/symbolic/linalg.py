@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on dense ``list[list[Fraction]]`` matrices.  Ranks,
-kernels and inverses come from Gauss-Jordan elimination over ``Fraction``;
-the determinant clears each row's denominators and runs fraction-free
-Bareiss elimination on integers, which divides exactly and never reduces a
-fraction.  The Kac determinant is the hot path: it evaluates the symmetric
-Gram form at D + 1 weights per level (22 x 22 matrices at level 8, 30 x 30
-at level 9), and :func:`symmetric_determinants` eliminates all of them in
-one Bareiss pass over the upper triangle, handing any weight whose pivot
-vanishes to :func:`determinant`.  Nothing here is approximate, so ranks,
-kernels and inverses come out with no floating-point ambiguity.
+Matrices are dense rows of ``Fraction`` or ``int`` entries.  One elimination,
+:func:`_eliminate`, serves them all: it scales each row to integers and runs
+fraction-free Gauss-Jordan elimination (Bareiss 1968, in Montante's form)
+with row pivoting, so every division is exact and no fraction is reduced;
+echelon forms, ranks, kernels, inverses and determinants read its result.
+The Kac determinant is the hot path: it evaluates the symmetric Gram form
+at D + 1 weights per level (22 x 22 matrices at level 8, 30 x 30 at level
+9), and :func:`symmetric_determinants` eliminates all of them in one Bareiss
+pass over the upper triangle, handing any weight whose pivot vanishes to
+:func:`determinant`.  Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -30,43 +30,60 @@ __all__ = [
 ]
 
 Matrix = list[list[Fraction]]
+RationalRows = Sequence[Sequence[Fraction | int]]
 
 
-def _copy(matrix: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in matrix]
+def _eliminate(matrix: RationalRows) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan reduction of the row-scaled matrix.
 
-
-def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = _copy(matrix)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+    Each row is scaled to integers by the lcm of its denominators.  At each
+    pivot p, found by row pivoting at (r, c), every other row i becomes
+    (p a_ij - a_ic a_rj) // d, with d the previous pivot (1 at the start).
+    Every entry stays an integer minor of the scaled matrix, so each division
+    is exact (Bareiss 1968; Nakos, Turner and Williams 1997), and at the end
+    every pivot entry equals the last pivot D, with zeros elsewhere in its
+    column.  Returns the reduced rows, the pivot columns, D times the sign of
+    the row swaps, and the product of the row scales.
+    """
+    rows: list[list[int]] = []
+    scale = 1
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
+    sign, previous = 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        swap = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if swap is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        if swap != r:
+            rows[r], rows[swap] = rows[swap], rows[r]
+            sign = -sign
+        head = rows[r]
+        pivot = head[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                factor = row[c]
+                rows[i] = [(pivot * x - factor * y) // previous for x, y in zip(row, head)]
+        previous = pivot
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return rows, pivots, sign * previous, scale
 
 
-def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    return len(rref(matrix)[1])
+def rref(matrix: RationalRows) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    rows, pivots, _, _ = _eliminate(matrix)
+    last = rows[0][pivots[0]] if pivots else 1  # every pivot entry is the last pivot
+    return [[Fraction(x, last) for x in row] for row in rows], pivots
 
 
-def kernel_basis(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
+def rank(matrix: RationalRows) -> int:
+    return len(_eliminate(matrix)[1])
+
+
+def kernel_basis(matrix: RationalRows) -> list[list[Fraction]]:
     """A basis of the right kernel, one vector per free column.
 
     Each vector is normalized so its first nonzero coordinate is 1.
@@ -87,55 +104,26 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fracti
     return basis
 
 
-def invert(matrix: Sequence[Sequence[Fraction | int]]) -> Matrix:
+def invert(matrix: RationalRows) -> Matrix:
     """Exact inverse via Gauss-Jordan on [A | I]; raises on singular input."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("only square matrices can be inverted")
-    augmented = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
+    augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)]
     reduced, pivots = rref(augmented)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular over the rationals")
     return [row[n:] for row in reduced]
 
 
-def determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss 1968) elimination.
-
-    Each row is scaled to integers by the lcm of its denominators.  Each
-    step then replaces the trailing block by 2x2 minors over the pivot,
-    divided exactly (``//``) by the previous pivot, so every entry stays an
-    integer minor of the scaled matrix; the result is divided by the scales.
-    """
+def determinant(matrix: RationalRows) -> Fraction:
+    """Exact determinant: the signed last pivot of :func:`_eliminate` over the
+    row scales at full rank, and 0 below it."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    m: list[list[int]] = []
-    scale = 1
-    for row in matrix:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        tail = m[k][k + 1 :]
-        for row in m[k + 1 :]:
-            factor = row[k]
-            row[k + 1 :] = [
-                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1 :], tail)
-            ]
-        previous = pivot
-    return Fraction(sign * m[-1][-1] if n else 1, scale)
+    _, pivots, signed_last, scale = _eliminate(matrix)
+    return Fraction(signed_last, scale) if len(pivots) == n else Fraction(0)
 
 
 def symmetric_determinants(upper: Sequence[Sequence[Sequence[int]]], nodes: int) -> list[int]:

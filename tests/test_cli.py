@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import loopcft
 from loopcft.cli import main
-from loopcft.reports import RunConfig, parse_rational, report_all, suite_kac
+from loopcft.reports import _CAPS, RunConfig, parse_rational, report_all, suite_kac
 
 
 @pytest.fixture()
@@ -420,7 +420,7 @@ def test_above_cap_config_is_usage_error_before_any_check(
 
 
 def test_ci_and_benchmark_configs_are_inside_the_caps():
-    from loopcft.reports import _CAPS, _check_caps
+    from loopcft.reports import _check_caps
 
     for suite, cfg in [
         ("operators", RunConfig(max_mode=11, max_degree=0)),
@@ -540,12 +540,17 @@ _COMMANDS = [
 ]
 
 
-def _above_caps():
-    """Configs one step past each cap in the reports' cap table, others small."""
-    from loopcft.reports import _CAPS
+def _above_caps(command):
+    """Configs one step past a cap in the reports' cap table, others small.
 
+    A command with its own entry draws only from it, so every draw must exit
+    2 and none runs the command at another suite's cap edge; report-all,
+    which checks every cap, and the commands without an entry draw from all.
+    """
+    own = command in _CAPS and command != "report-all"
+    tables = [_CAPS[command]] if own else _CAPS.values()
     over = []
-    for caps in _CAPS.values():
+    for caps in tables:
         for knob, cap in caps.items():
             if knob == "max_mode + max_degree":
                 over.append({"max_mode": 0, "max_degree": cap + 1})
@@ -555,7 +560,8 @@ def _above_caps():
 
 
 @st.composite
-def _contract_configs(draw):
+def _contract_configs(draw, command):
+    """(config, whether it was bent past one of the command's caps)."""
     denominator = draw(st.integers(1, 6))
     config = {
         "level": draw(st.integers(0, 4)),
@@ -568,17 +574,19 @@ def _contract_configs(draw):
     }
     if draw(st.booleans()):
         config["lambda"] = str(draw(st.fractions(-1, 2, max_denominator=16)))
-    if draw(st.integers(0, 3)) == 0:
-        config.update(draw(st.sampled_from(_above_caps())))
-    return config
+    above = draw(st.integers(0, 3)) == 0
+    if above:
+        config.update(draw(st.sampled_from(_above_caps(command))))
+    return config, above
 
 
 @pytest.mark.parametrize("command", _COMMANDS)
 @settings(max_examples=20, deadline=None)
-@given(config=_contract_configs())
-def test_cli_contract_holds_over_the_accepted_domain(command, config):
+@given(data=st.data())
+def test_cli_contract_holds_over_the_accepted_domain(command, data):
     # exit 0 or 1 with a schema-1 report whose verdict matches, or exit 2 with
     # a usage error; never a traceback or an uncaught exception
+    config, above = data.draw(_contract_configs(command), label="config")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
@@ -586,6 +594,8 @@ def test_cli_contract_holds_over_the_accepted_domain(command, config):
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), config
     assert "Traceback" not in result.output
+    if above and command in _CAPS:
+        assert result.exit_code == 2, config
     if result.exit_code == 2:
         assert "Error: " in result.output
     else:

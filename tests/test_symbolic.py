@@ -25,6 +25,7 @@ from loopcft.symbolic import (
     partitions_of,
     pre_schwarzian,
     rank,
+    rref,
     schwarzian,
     series_reversion,
     symmetric_determinants,
@@ -1026,6 +1027,55 @@ def test_fraction_free_determinant_edge_cases():
     assert determinant([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 7]]) == Fraction(103, 30)
     with pytest.raises(ValueError):
         determinant([[1, 2]])
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices of 1-6 rows and 1-6 columns, half of them square,
+    some bent to a zero leading pivot, a zero column or a dependent row."""
+    rows = draw(st.integers(1, 6))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 6))
+    row_st = st.lists(wide_fractions_st, min_size=cols, max_size=cols)
+    m = draw(st.lists(row_st, min_size=rows, max_size=rows))
+    shape = draw(st.sampled_from(["plain", "zero pivot", "zero column", "dependent row"]))
+    if shape == "zero pivot":
+        m[0][0] = Fraction(0)
+    elif shape == "zero column":
+        column = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[column] = Fraction(0)
+    elif rows >= 2 and shape == "dependent row":
+        u, v = draw(wide_fractions_st), draw(wide_fractions_st)
+        m[-1] = [u * x + v * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def _from_sympy(entries):
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in entries]
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_linalg_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    reference = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in m])
+    reduced, pivots = reference.rref()
+    assert rref(m) == (_from_sympy(reduced.tolist()), list(pivots))
+    assert rank(m) == reference.rank()
+    # sympy sets each free coordinate to 1; kernel_basis scales each vector to a leading 1
+    expected = []
+    for vector in _from_sympy(reference.nullspace()):
+        lead = next(x for x in vector if x)
+        expected.append([x / lead for x in vector])
+    assert kernel_basis(m) == expected
+    if len(m) == len(m[0]):
+        det = reference.det()
+        assert determinant(m) == Fraction(int(det.p), int(det.q))
+        if det:
+            assert invert(m) == _from_sympy(reference.inv().tolist())
+        else:
+            with pytest.raises(ValueError):
+                invert(m)
 
 
 _LOCKSTEP_SHAPES = ["plain", "zero pivot at step 0", "zero pivot at step 1", "singular"]
