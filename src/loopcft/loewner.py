@@ -323,18 +323,6 @@ def sample_sle_driving(
     return DrivingFunction(dt=dt, values=_sle_walk(kappa, T, dt, seed))
 
 
-def _walk_ends(kappa: float, T: float, dt: float, seeds: Sequence[int]) -> list[float]:
-    """W_T for each seed, in order, without building the drivers.
-
-    A running sum stays non-finite once it is, so the last value is finite
-    exactly when every sample is: checking it keeps the driver's guard.
-    """
-    ends = [float(_sle_walk(kappa, T, dt, seed)[-1]) for seed in seeds]
-    if not all(map(math.isfinite, ends)):
-        raise ValueError("driver samples must be finite")
-    return ends
-
-
 def sle_driving_endpoints(
     kappa: float, T: float, dt: float, seeds: Iterable[int]
 ) -> list[float]:
@@ -347,8 +335,15 @@ def sle_driving_endpoints(
     workers = _workers(len(seeds) * _sle_steps(kappa, T, dt))
     cuts = [len(seeds) * i // workers for i in range(workers + 1)]
     chunks = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
-    ends = _in_threads(lambda chunk: _walk_ends(kappa, T, dt, chunk), chunks)
-    return [end for chunk_ends in ends for end in chunk_ends]
+    ends = _in_threads(
+        lambda chunk: [float(_sle_walk(kappa, T, dt, seed)[-1]) for seed in chunk], chunks
+    )
+    ends = [end for chunk_ends in ends for end in chunk_ends]
+    # A running sum stays non-finite once it is, so the last value is finite
+    # exactly when every sample is: checking it keeps the driver's guard.
+    if not all(map(math.isfinite, ends)):
+        raise ValueError("driver samples must be finite")
+    return ends
 
 
 # ---------------------------------------------------------------------------

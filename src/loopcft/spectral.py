@@ -93,9 +93,8 @@ def reflection_smallest_pole(kappa: float) -> float:
     a = 1 - kappa / 4
 
     def crossing(lam: float) -> float:
-        w = a * a + lam * kappa
-        x = math.sqrt(w)  # w >= a^2 > -1 on the bracket, and grows with lam
-        return math.sin(math.pi * x) / (math.pi * x) if x > 0 else 1.0
+        # a^2 + lam*kappa >= a^2 >= 0 on the bracket, and grows with lam
+        return _sinc_pi(math.sqrt(a * a + lam * kappa)).real
 
     lo = 0.0
     hi = (2.25 - a * a) / kappa

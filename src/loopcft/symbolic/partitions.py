@@ -5,6 +5,7 @@ monomial bases of the coefficient ring.  Within a level the basis is ordered
 by *descending* lexicographic multiplicity vector ``(k_1, ..., k_N)`` where
 ``k_i`` counts parts equal to ``i`` — so many-small-parts come first:
 level 2 reads ``[(1,1), (2)]`` and level 3 reads ``[(1,1,1), (1,2), (3)]``.
+``_basis_order`` generates the partitions in that order.
 """
 
 from __future__ import annotations
@@ -28,35 +29,20 @@ class Partition:
         if any(a > b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"partition parts must ascend, got {self.parts}")
 
-    def multiplicity_vector(self) -> tuple[int, ...]:
-        """(k_1, ..., k_n) with n the sum of the parts and k_i the number of parts equal to i."""
-        vec = [0] * sum(self.parts)
-        for p in self.parts:
-            vec[p - 1] += 1
-        return tuple(vec)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
 
 def partition_parts(partition: Partition | Iterable[int]) -> tuple[int, ...]:
     """The ascending parts of a :class:`Partition` or of any collection of parts."""
     return partition.parts if isinstance(partition, Partition) else tuple(sorted(partition))
 
 
-def _partitions_raw(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
+def _basis_order(total: int, smallest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into parts >= ``smallest``, most copies of ``smallest`` first."""
     if total == 0:
         yield ()
-        return
-    for largest in range(min(total, max_part), 0, -1):
-        for rest in _partitions_raw(total - largest, largest):
-            yield rest + (largest,)
+    elif smallest <= total:
+        for count in range(total // smallest, -1, -1):
+            for rest in _basis_order(total - count * smallest, smallest + 1):
+                yield (smallest,) * count + rest
 
 
 @lru_cache(maxsize=None)
@@ -64,9 +50,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, descending-lex by multiplicity vector."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    items = [Partition(parts) for parts in _partitions_raw(n, n if n else 1)]
-    items.sort(key=lambda p: p.multiplicity_vector(), reverse=True)
-    return tuple(items)
+    return tuple(Partition(parts) for parts in _basis_order(n, 1))
 
 
 def partition_count(n: int) -> int:

@@ -254,6 +254,41 @@ def test_trace_tip_fine_grid():
     assert abs(tip - 2j) < 1e-3
 
 
+# An exact Loewner solution (Kager, Nienhuis & Kadanoff, J. Stat. Phys. 115
+# (2004) 805-822): the driver W_t = c sqrt(t), c = 2(1 - 2a)/sqrt(a(1 - a)),
+# grows the straight slit gamma(t) = 2 sqrt(t) ((1 - a)/a)^((1 - 2a)/2) e^(i pi a).
+# At a = 1/3 (c = sqrt 2) on the grid driver c sqrt(k dt) over [0, 1],
+# |trace_tip - gamma(1)|/dt measured 0.297, 0.354, 0.442, 0.492, 0.507, 0.511
+# and 0.512 at K = 1, 2, 10, 100, 1000, 10^4 and 2*10^4 steps, and at K = 1000
+# every trace point met |z_k - gamma(t_k)| <= 0.507 dt/sqrt(t_k), the largest
+# ratio at the tip.  Both bounds are pinned at 0.6.
+_SLIT_BOUND = 0.6
+
+
+def _oblique_slit(K: int) -> tuple[DrivingFunction, complex]:
+    """The grid driver of the a = 1/3 slit on [0, 1] in K steps, and gamma(1)."""
+    a = 1 / 3
+    c = 2 * (1 - 2 * a) / math.sqrt(a * (1 - a))
+    gamma_1 = 2 * ((1 - a) / a) ** ((1 - 2 * a) / 2) * cmath.exp(1j * math.pi * a)
+    dt = 1 / K
+    return DrivingFunction(dt=dt, values=tuple(c * math.sqrt(k * dt) for k in range(K + 1))), gamma_1
+
+
+@pytest.mark.parametrize("K", [1, 2, 10, 100, 1000, 10**4, 2 * 10**4])
+def test_trace_tip_meets_the_oblique_slit(K):
+    w, gamma_1 = _oblique_slit(K)
+    assert abs(trace_tip(w) - gamma_1) <= _SLIT_BOUND * w.dt
+
+
+def test_trace_meets_the_oblique_slit_at_every_point():
+    w, gamma_1 = _oblique_slit(1000)
+    points = trace(w).points
+    assert points[0] == 0
+    for k in range(1, w.steps + 1):
+        t = k * w.dt
+        assert abs(points[k] - math.sqrt(t) * gamma_1) <= _SLIT_BOUND * w.dt / math.sqrt(t)
+
+
 def test_trace_translation_covariance():
     K = 200
     shift = 0.7

@@ -916,9 +916,26 @@ def test_partition_basis_order_pins():
     ]
 
 
+def test_partition_basis_order_matches_sorted_sympy_partitions():
+    # an independent enumeration, sorted by descending multiplicity vector
+    from sympy.utilities.iterables import partitions as sympy_partitions
+
+    def multiplicity_vector(parts, n):
+        return tuple(parts.count(i) for i in range(1, n + 1))
+
+    for n in range(26):
+        expected = sorted(
+            (
+                tuple(sorted(part for part, count in p.items() for _ in range(count)))
+                for p in sympy_partitions(n)
+            ),
+            key=lambda parts: multiplicity_vector(parts, n),
+            reverse=True,
+        )
+        assert [x.parts for x in partitions_of(n)] == expected
+
+
 def test_partition_validation_and_helpers():
-    p = Partition((1, 2, 2))
-    assert p.multiplicity_vector() == (1, 2, 0, 0, 0)
     with pytest.raises(ValueError):
         Partition((2, 1))
     with pytest.raises(ValueError):
